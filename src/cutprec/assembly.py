@@ -422,24 +422,13 @@ def build_L(layout: DofLayout) -> sp.csr_matrix:
     Each x0 column places a unit entry in every side block whose extended
     domain contains the vertex; each x1 column hits the single block where
     the vertex acts as a cut dof (the side opposite its level-set sign).
+    For the fictitious domain there is one side block, so L is a
+    permutation (the identity, since the side-block ordering already lists
+    interior dofs before strip dofs).
     """
     rows, cols = _split_columns(layout)
-    if rows.size != layout.dim + layout.N1:
-        raise ValueError("transformation entry count mismatch")
-    L = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                      shape=(layout.dim, layout.dim)).tocsr()
-    L.sort_indices()
-    return L
-
-
-def build_L_fd(layout: DofLayout) -> sp.csr_matrix:
-    """One-sided basis transformation; a permutation (identity here since
-    the side-block ordering already lists interior dofs before strip dofs).
-    """
-    if layout.problem != FICTITIOUS:
-        raise ValueError("layout does not describe the fictitious domain")
-    rows, cols = _split_columns(layout)
-    if rows.size != layout.dim:
+    expected = layout.dim + (layout.N1 if layout.problem == INTERFACE else 0)
+    if rows.size != expected:
         raise ValueError("transformation entry count mismatch")
     L = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                       shape=(layout.dim, layout.dim)).tocsr()

@@ -14,11 +14,20 @@ from pathlib import Path
 import scipy.sparse as sp
 
 from .assembly import export_matrix_market
-from .experiments import (COND_METHODS, DENSE_MAX_LEVEL, ExperimentConfig,
-                          build_system, run_delta_sweep, run_fd_study,
-                          run_interface_study, write_tables)
+from .experiments import (COND_METHODS, ExperimentConfig, build_system,
+                          cond_method, run_study, write_tables)
 from .solver import PRECONDITIONER_KINDS, estimate_condition
-from .space import FICTITIOUS
+from .space import FICTITIOUS, INTERFACE
+
+# study subcommand -> (problem, delta sweep, table name, help)
+_STUDIES = {
+    "interface-study": (INTERFACE, False, "interface_study",
+                        "level sweep of the two-phase interface problem"),
+    "delta-sweep": (INTERFACE, True, "delta_sweep",
+                    "interface-position robustness at a fixed level"),
+    "fd-study": (FICTITIOUS, False, "fd_study",
+                 "level sweep of the fictitious-domain problem"),
+}
 
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:
@@ -45,7 +54,6 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--preconditioners", nargs="+",
                    choices=PRECONDITIONER_KINDS, metavar="KIND")
-    p.add_argument("--base-order", type=int, dest="base_order")
     p.add_argument("--mg-cycles", type=int, dest="mg_cycles")
     p.add_argument("--strip-sweeps", type=int, dest="strip_sweeps")
     p.add_argument("--cond-method", dest="cond_method",
@@ -65,58 +73,37 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _emit(result, config: ExperimentConfig, name: str) -> None:
-    paths = write_tables(result, config.output_dir, name)
+def _cmd_study(args) -> int:
+    problem, deltas, name, _ = _STUDIES[args.command]
+    config = replace(_config_from_args(args), problem=problem)
+    paths = write_tables(run_study(config, deltas=deltas),
+                         config.output_dir, name)
     print(Path(paths[1]).read_text())
     for p in paths:
         print(f"wrote {p}")
-
-
-def _cmd_interface_study(args) -> int:
-    config = _config_from_args(args)
-    _emit(run_interface_study(config), config, "interface_study")
     return 0
-
-
-def _cmd_delta_sweep(args) -> int:
-    config = _config_from_args(args)
-    _emit(run_delta_sweep(config), config, "delta_sweep")
-    return 0
-
-
-def _cmd_fd_study(args) -> int:
-    config = replace(_config_from_args(args), problem=FICTITIOUS)
-    _emit(run_fd_study(config), config, "fd_study")
-    return 0
-
-
-def _cond_method(config: ExperimentConfig, level: int) -> str:
-    if config.cond_method == "per-level":
-        return "dense" if level <= DENSE_MAX_LEVEL else "lanczos"
-    return config.cond_method
 
 
 def _cmd_cond(args) -> int:
     """Condition numbers of the solved operator and its block-diagonal
-    preconditioned variants at one level."""
+    preconditioned variants at one level.  A Lanczos estimate that did not
+    converge is a lower bound and is marked as one."""
     config = _config_from_args(args)
     level = config.max_level if args.level is None else args.level
     tsys = build_system(config, level=level)
-    method = _cond_method(config, level)
+    method = cond_method(config, level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
     print(f"problem={config.problem} level={level} N0={n0} N1={n1} "
           f"method={method}")
-    est = estimate_condition(tsys.Ahat, method=method)
-    print(f"kappa2(Ahat)        = {est.kappa:.4e}  "
-          f"[{est.lam_min:.4e}, {est.lam_max:.4e}]")
     DA = sp.block_diag([tsys.A0, tsys.A1], format="csr")
-    est = estimate_condition(tsys.Ahat, B=DA, method=method)
-    print(f"kappa(DA^-1 Ahat)   = {est.kappa:.4e}  "
-          f"[{est.lam_min:.4e}, {est.lam_max:.4e}]")
-    est = estimate_condition(tsys.A1, B=sp.diags(tsys.D1).tocsr(),
-                             method=method)
-    print(f"kappa(D1^-1 A1)     = {est.kappa:.4e}  "
-          f"[{est.lam_min:.4e}, {est.lam_max:.4e}]")
+    for label, A, B in (("kappa2(Ahat)", tsys.Ahat, None),
+                        ("kappa(DA^-1 Ahat)", tsys.Ahat, DA),
+                        ("kappa(D1^-1 A1)", tsys.A1,
+                         sp.diags(tsys.D1).tocsr())):
+        est = estimate_condition(A, B=B, method=method)
+        mark = "" if est.converged else "  lower bound: Lanczos not converged"
+        print(f"{label:<20}= {est.kappa:.4e}  "
+              f"[{est.lam_min:.4e}, {est.lam_max:.4e}]{mark}")
     return 0
 
 
@@ -139,20 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "studies with block-preconditioned CG.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("interface-study",
-                       help="level sweep of the two-phase interface problem")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_interface_study)
-
-    p = sub.add_parser("delta-sweep",
-                       help="interface-position robustness at a fixed level")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_delta_sweep)
-
-    p = sub.add_parser("fd-study",
-                       help="level sweep of the fictitious-domain problem")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_fd_study)
+    for command, (_, _, _, help_text) in _STUDIES.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_config_options(p)
+        p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("cond",
                        help="condition numbers of the assembled operator")

@@ -8,15 +8,16 @@ rerunning a configuration reproduces the output files byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import (AVERAGE_HARMONIC, LENGTH_GLOBAL, ProblemCoefficients,
                        TransformedSystem, all_gradients, assemble_fd,
-                       assemble_interface, build_L, build_L_fd,
-                       dirichlet_values, transform)
+                       assemble_interface, build_L, dirichlet_values,
+                       transform)
 from .geometry import (NEG, POS, SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
                        build_cut_info, classify)
 from .mesh import MeshHierarchy
@@ -123,7 +124,6 @@ class ExperimentConfig:
     tol: float = 1e-6
     max_iter: int = 1000
     preconditioners: tuple = PRECONDITIONER_KINDS
-    base_order: int = 4
     mg_cycles: int = 3
     strip_sweeps: int | None = None
     cond_method: str = COND_PER_LEVEL
@@ -145,8 +145,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown preconditioners {sorted(unknown)}")
         if self.cond_method not in COND_METHODS:
             raise ValueError(f"unknown condition method {self.cond_method!r}")
-        if self.base_order < 1:
-            raise ValueError("quadrature order must be positive")
         # delegate coefficient validation
         self.coefficients()
 
@@ -189,7 +187,11 @@ class ErrorNorms:
 
 @dataclass
 class LevelResult:
-    """One study row plus the transformed system it came from."""
+    """One study row plus the transformed system it came from.
+
+    kappa2_converged is False when kappa2 is a Lanczos lower bound; the
+    tables leave it out.
+    """
 
     level: int
     h: float
@@ -197,6 +199,7 @@ class LevelResult:
     N1: int
     errors: ErrorNorms
     kappa2: float
+    kappa2_converged: bool
     iterations: dict
     delta: float | None = None
     tsys: TransformedSystem = field(repr=False, default=None)
@@ -314,61 +317,86 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
                       h1_full=float(np.sqrt(acc[0] + acc[1])))
 
 
-def _cond_method_for(config, level, dim):
+def cond_method(config: ExperimentConfig, level: int) -> str:
+    """Condition estimate method for one level under the configured policy."""
     if config.cond_method == COND_PER_LEVEL:
         return "dense" if level <= DENSE_MAX_LEVEL else "lanczos"
     return config.cond_method
 
 
-def _interface_active_sets(hierarchy):
-    return [np.flatnonzero(~m.boundary_vertex_flags)
-            for m in hierarchy.levels]
+def _assemble(mesh, x0, config: ExperimentConfig):
+    """Cut the mesh by the unit sphere around x0 and assemble the configured
+    problem in the split basis.
 
-
-def _fd_active_sets(hierarchy, levelset):
-    out = []
-    for m in hierarchy.levels:
-        _, snapped = classify(m, levelset)
-        out.append(np.flatnonzero(snapped < 0.0))
-    return out
-
-
-def _solve_level(mesh, cutinfo, layout, config, sol, hierarchy, active,
-                 delta=None) -> LevelResult:
+    Returns the cut info, the manufactured solution and the transformed
+    system.
+    """
+    cutinfo = build_cut_info(mesh, SphereLevelSet(center=x0))
+    layout = build_dof_layout(build_index_sets(mesh, cutinfo, config.problem))
     coeffs = config.coefficients()
-    if layout.problem == INTERFACE:
+    if config.problem == INTERFACE:
+        sol = interface_solution(x0, config.alpha1, config.alpha2)
         A, b = assemble_interface(mesh, cutinfo, layout, coeffs, sol.f, sol.g)
-        L = build_L(layout)
     else:
+        sol = fictitious_solution(x0)
         A, b = assemble_fd(mesh, cutinfo, layout, coeffs, sol.f, sol.g)
-        L = build_L_fd(layout)
-    tsys = transform(A, b, L, layout)
+    return cutinfo, sol, transform(A, b, build_L(layout), layout)
+
+
+@contextmanager
+def _located(what, level, delta):
+    """Re-raise a failure of one study row naming its level and delta."""
+    try:
+        yield
+    except (RuntimeError, ValueError) as exc:
+        where = f"level {level}" + \
+            (f", delta {delta}" if delta is not None else "")
+        raise RuntimeError(f"{what} failed at {where}: {exc}") from exc
+
+
+def _solve_point(hierarchy, x0, config: ExperimentConfig,
+                 delta=None) -> LevelResult:
+    """One study row on the finest mesh of the hierarchy: assemble, solve
+    with every configured preconditioner, estimate kappa, measure errors."""
+    mesh = hierarchy.finest
+    level = mesh.level
+    with _located("assembly", level, delta):
+        cutinfo, sol, tsys = _assemble(mesh, x0, config)
+    layout = tsys.layout
+    # multigrid vertex sets: the interior box vertices for the interface
+    # problem, the vertices inside the sphere for the fictitious domain
+    if config.problem == INTERFACE:
+        active = [np.flatnonzero(~m.boundary_vertex_flags)
+                  for m in hierarchy.levels]
+    else:
+        levelset = SphereLevelSet(center=x0)
+        active = [np.flatnonzero(classify(m, levelset)[1] < 0.0)
+                  for m in hierarchy.levels]
+        if not np.array_equal(active[-1], layout.x0_vertices):
+            raise RuntimeError("multigrid vertex set disagrees with the "
+                               "interior block layout")
 
     iterations = {}
     first_solution = None
     for kind in config.preconditioners:
-        P = make_preconditioner(kind, tsys, hierarchy=hierarchy,
-                                active_sets=active,
-                                settings=config.settings())
-        try:
+        with _located(f"{kind} set-up", level, delta):
+            P = make_preconditioner(kind, tsys, hierarchy=hierarchy,
+                                    active_sets=active,
+                                    settings=config.settings())
+        with _located(f"{kind} solve", level, delta):
             xhat, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=config.tol,
-                            max_iter=config.max_iter, level=mesh.level,
+                            max_iter=config.max_iter, level=level,
                             delta=delta)
-        except (RuntimeError, ValueError) as exc:
-            where = f"level {mesh.level}" + \
-                (f", delta {delta}" if delta is not None else "")
-            raise RuntimeError(f"{kind} solve failed at {where}: {exc}") \
-                from exc
         iterations[kind] = rep.iterations
         if first_solution is None:
             first_solution = xhat
 
-    est = estimate_condition(
-        tsys.Ahat, method=_cond_method_for(config, mesh.level,
-                                           tsys.Ahat.shape[0]))
-    errors = error_norms(mesh, cutinfo, layout, L @ first_solution, sol)
-    return LevelResult(level=mesh.level, h=mesh.h, N0=layout.N0,
-                       N1=layout.N1, errors=errors, kappa2=est.kappa,
+    with _located("condition estimate", level, delta):
+        est = estimate_condition(tsys.Ahat, method=cond_method(config, level))
+    errors = error_norms(mesh, cutinfo, layout, tsys.L @ first_solution, sol)
+    return LevelResult(level=level, h=mesh.h, N0=layout.N0, N1=layout.N1,
+                       errors=errors, kappa2=est.kappa,
+                       kappa2_converged=est.converged,
                        iterations=iterations, delta=delta, tsys=tsys)
 
 
@@ -377,88 +405,29 @@ def build_system(config: ExperimentConfig, level: int = None
     """Assemble and transform the configured problem at one level."""
     if level is None:
         level = config.max_level
-    mesh = MeshHierarchy.build(level).levels[level]
-    x0 = np.asarray(config.x0, dtype=float)
-    cutinfo = build_cut_info(mesh, SphereLevelSet(center=x0),
-                             base_order=config.base_order)
-    coeffs = config.coefficients()
-    if config.problem == INTERFACE:
-        sol = interface_solution(x0, config.alpha1, config.alpha2)
-        layout = build_dof_layout(build_index_sets(mesh, cutinfo, INTERFACE))
-        A, b = assemble_interface(mesh, cutinfo, layout, coeffs, sol.f, sol.g)
-        L = build_L(layout)
+    return _assemble(MeshHierarchy.build(level).finest, config.x0, config)[2]
+
+
+def run_study(config: ExperimentConfig = None,
+              deltas: bool = False) -> StudyResult:
+    """Dimensions, errors, conditioning and PCG iteration counts for every
+    configured preconditioner, one row per point of the configured problem.
+
+    The points are levels 0..max_level with the sphere centred at x0, or
+    with deltas the sphere centres (delta, 2 delta, 3 delta) at delta_level.
+    """
+    if config is None:
+        config = ExperimentConfig()
+    top = config.delta_level if deltas else config.max_level
+    hierarchy = MeshHierarchy.build(top)
+    if deltas:
+        points = [(top, (d, 2.0 * d, 3.0 * d), float(d))
+                  for d in config.deltas]
     else:
-        sol = fictitious_solution(x0)
-        layout = build_dof_layout(build_index_sets(mesh, cutinfo, FICTITIOUS))
-        A, b = assemble_fd(mesh, cutinfo, layout, coeffs, sol.f, sol.g)
-        L = build_L_fd(layout)
-    return transform(A, b, L, layout)
-
-
-def run_interface_study(config: ExperimentConfig = None) -> StudyResult:
-    """Level sweep of the interface problem: dimensions, errors, conditioning
-    and PCG iteration counts for every configured preconditioner."""
-    if config is None:
-        config = ExperimentConfig()
-    if config.problem != INTERFACE:
-        config = replace(config, problem=INTERFACE)
-    hierarchy = MeshHierarchy.build(config.max_level)
-    x0 = np.asarray(config.x0, dtype=float)
-    sol = interface_solution(x0, config.alpha1, config.alpha2)
-    levelset = SphereLevelSet(center=x0)
-    rows = []
-    for lvl, mesh in enumerate(hierarchy.levels):
-        cutinfo = build_cut_info(mesh, levelset, base_order=config.base_order)
-        layout = build_dof_layout(build_index_sets(mesh, cutinfo, INTERFACE))
-        sub = hierarchy.truncated(lvl)
-        active = _interface_active_sets(sub)
-        rows.append(_solve_level(mesh, cutinfo, layout, config, sol,
-                                 sub, active))
-    return StudyResult(problem=INTERFACE, config=config, rows=rows)
-
-
-def run_delta_sweep(config: ExperimentConfig = None) -> StudyResult:
-    """Interface-position robustness: the sphere midpoint moves to
-    (delta, 2 delta, 3 delta) at a fixed refinement level."""
-    if config is None:
-        config = ExperimentConfig()
-    hierarchy = MeshHierarchy.build(config.delta_level)
-    mesh = hierarchy.levels[config.delta_level]
-    active = _interface_active_sets(hierarchy)
-    rows = []
-    for delta in config.deltas:
-        x0 = np.array([delta, 2.0 * delta, 3.0 * delta])
-        sol = interface_solution(x0, config.alpha1, config.alpha2)
-        cutinfo = build_cut_info(mesh, SphereLevelSet(center=x0),
-                                 base_order=config.base_order)
-        layout = build_dof_layout(build_index_sets(mesh, cutinfo, INTERFACE))
-        rows.append(_solve_level(mesh, cutinfo, layout, config, sol,
-                                 hierarchy, active, delta=float(delta)))
-    return StudyResult(problem=INTERFACE, config=config, rows=rows)
-
-
-def run_fd_study(config: ExperimentConfig = None) -> StudyResult:
-    """Level sweep of the fictitious-domain problem (uniform refinement)."""
-    if config is None:
-        config = ExperimentConfig(problem=FICTITIOUS)
-    if config.problem != FICTITIOUS:
-        config = replace(config, problem=FICTITIOUS)
-    hierarchy = MeshHierarchy.build(config.max_level)
-    x0 = np.asarray(config.x0, dtype=float)
-    sol = fictitious_solution(x0)
-    levelset = SphereLevelSet(center=x0)
-    rows = []
-    for lvl, mesh in enumerate(hierarchy.levels):
-        cutinfo = build_cut_info(mesh, levelset, base_order=config.base_order)
-        layout = build_dof_layout(build_index_sets(mesh, cutinfo, FICTITIOUS))
-        sub = hierarchy.truncated(lvl)
-        active = _fd_active_sets(sub, levelset)
-        if not np.array_equal(active[-1], layout.x0_vertices):
-            raise RuntimeError("multigrid vertex set disagrees with the "
-                               "interior block layout")
-        rows.append(_solve_level(mesh, cutinfo, layout, config, sol,
-                                 sub, active))
-    return StudyResult(problem=FICTITIOUS, config=config, rows=rows)
+        points = [(lvl, config.x0, None) for lvl in range(top + 1)]
+    rows = [_solve_point(hierarchy.truncated(lvl), x0, config, delta)
+            for lvl, x0, delta in points]
+    return StudyResult(problem=config.problem, config=config, rows=rows)
 
 
 _FORMATS = {"h": "{:.6g}", "l2": "{:.6e}", "h1_semi": "{:.6e}",

@@ -21,8 +21,6 @@ NEG, CUT, POS = -1, 0, 1
 
 SNAP_FACTOR = 1e-12
 
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
 
 def _tet_rule_reference() -> tuple[np.ndarray, np.ndarray]:
     """14-point degree-5 rule on the tetrahedron, barycentric, weights sum 1."""
@@ -62,8 +60,6 @@ def _tri_rule_reference() -> tuple[np.ndarray, np.ndarray]:
 
 TET_RULE_LAM, TET_RULE_W = _tet_rule_reference()
 TRI_RULE_LAM, TRI_RULE_W = _tri_rule_reference()
-TET_RULE_DEGREE = 5
-TRI_RULE_DEGREE = 4
 
 
 class SphereLevelSet:
@@ -185,20 +181,16 @@ def full_tet_rule(verts: np.ndarray) -> QuadRule:
     return _map_tet_rule([np.asarray(verts, dtype=float)])
 
 
-def cut_volume_rule(verts, phivals, base_order: int = 4) -> tuple[QuadRule, QuadRule]:
+def cut_volume_rule(verts, phivals) -> tuple[QuadRule, QuadRule]:
     """Volume rules on the two sides of the linear cut of one tetrahedron."""
-    if base_order > TET_RULE_DEGREE:
-        raise ValueError("base_order exceeds the embedded rule degree")
     verts = np.asarray(verts, dtype=float)
     phivals = np.asarray(phivals, dtype=float)
     neg_sub, pos_sub, _ = _split_cut_tet(verts, phivals)
     return _map_tet_rule(neg_sub), _map_tet_rule(pos_sub)
 
 
-def interface_rule(verts, phivals, base_order: int = 4) -> SurfaceRule:
+def interface_rule(verts, phivals) -> SurfaceRule:
     """Surface rule on the planar interface patch of one cut tetrahedron."""
-    if base_order > TRI_RULE_DEGREE:
-        raise ValueError("base_order exceeds the embedded rule degree")
     verts = np.asarray(verts, dtype=float)
     phivals = np.asarray(phivals, dtype=float)
     _, _, tris = _split_cut_tet(verts, phivals)
@@ -214,11 +206,10 @@ def interface_rule(verts, phivals, base_order: int = 4) -> SurfaceRule:
 
 @dataclass(frozen=True)
 class CutInfo:
-    """Classification plus per-cut-element quadrature for a mesh/level-set pair.
+    """Classification plus cut quadrature for a mesh/level-set pair.
 
-    Per-tet rules are accessed through volume_rule / surface_rule; the flat
-    arrays (points, weights, offsets indexed by cut-local id) back vectorized
-    assembly loops.
+    The flat arrays (points, weights, offsets indexed by cut-local id) back
+    vectorized assembly loops.
     """
 
     tet_class: np.ndarray
@@ -229,7 +220,6 @@ class CutInfo:
     vol1: np.ndarray
     vol2: np.ndarray
     normals: np.ndarray  # (nc, 3)
-    base_order: int
     vpts1: np.ndarray
     vw1: np.ndarray
     voff1: np.ndarray
@@ -239,18 +229,10 @@ class CutInfo:
     spts: np.ndarray
     sw: np.ndarray
     soff: np.ndarray
-    subtets1: list
-    subtets2: list
-    stris: list
 
     @property
     def n_cut(self) -> int:
         return self.cut_tets.shape[0]
-
-    @property
-    def gamma_tets(self) -> np.ndarray:
-        """Elements of the cut strip."""
-        return self.cut_tets
 
     @property
     def ext1(self) -> np.ndarray:
@@ -270,32 +252,8 @@ class CutInfo:
     def minus2(self) -> np.ndarray:
         return np.flatnonzero(self.tet_class == POS)
 
-    def kappa(self, t: int) -> tuple[float, float]:
-        k1 = self.kappa1[self.cut_index[t]]
-        return float(k1), float(1.0 - k1)
 
-    def volume_rule(self, t: int, side: int) -> QuadRule:
-        c = self.cut_index[t]
-        if c < 0:
-            raise ValueError(f"tet {t} is not cut")
-        if side == 1:
-            sl = slice(self.voff1[c], self.voff1[c + 1])
-            return QuadRule(self.vpts1[sl], self.vw1[sl],
-                            np.asarray(self.subtets1[c]))
-        sl = slice(self.voff2[c], self.voff2[c + 1])
-        return QuadRule(self.vpts2[sl], self.vw2[sl],
-                        np.asarray(self.subtets2[c]))
-
-    def surface_rule(self, t: int) -> SurfaceRule:
-        c = self.cut_index[t]
-        if c < 0:
-            raise ValueError(f"tet {t} is not cut")
-        sl = slice(self.soff[c], self.soff[c + 1])
-        return SurfaceRule(self.spts[sl], self.sw[sl], self.normals[c],
-                           np.asarray(self.stris[c]))
-
-
-def build_cut_info(mesh: Mesh, phi, base_order: int = 4) -> CutInfo:
+def build_cut_info(mesh: Mesh, phi) -> CutInfo:
     """Classify all elements and build cut quadrature for the cut ones."""
     tet_class, vertex_phi = classify(mesh, phi)
     cut_tets = np.flatnonzero(tet_class == CUT)
@@ -303,15 +261,14 @@ def build_cut_info(mesh: Mesh, phi, base_order: int = 4) -> CutInfo:
     cut_index[cut_tets] = np.arange(cut_tets.size)
 
     vp1, vw1, vp2, vw2, sp, sw = [], [], [], [], [], []
-    sub1, sub2, stris = [], [], []
     vol1 = np.empty(cut_tets.size)
     vol2 = np.empty(cut_tets.size)
     normals = np.empty((cut_tets.size, 3))
     for c, t in enumerate(cut_tets):
         verts = mesh.vertices[mesh.tets[t]]
         pv = vertex_phi[mesh.tets[t]]
-        r1, r2 = cut_volume_rule(verts, pv, base_order)
-        srule = interface_rule(verts, pv, base_order)
+        r1, r2 = cut_volume_rule(verts, pv)
+        srule = interface_rule(verts, pv)
         v1, v2 = r1.weights.sum(), r2.weights.sum()
         tot = mesh.volumes[t]
         if not np.isclose(v1 + v2, tot, rtol=0, atol=1e-12 * max(1.0, tot)):
@@ -326,9 +283,6 @@ def build_cut_info(mesh: Mesh, phi, base_order: int = 4) -> CutInfo:
         vw2.append(r2.weights)
         sp.append(srule.points)
         sw.append(srule.weights)
-        sub1.append(r1.subtets)
-        sub2.append(r2.subtets)
-        stris.append(srule.triangles)
 
     def _flat(parts, width):
         if parts:
@@ -346,11 +300,10 @@ def build_cut_info(mesh: Mesh, phi, base_order: int = 4) -> CutInfo:
     return CutInfo(
         tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
         cut_index=cut_index, kappa1=kappa1, vol1=vol1, vol2=vol2,
-        normals=normals, base_order=base_order,
+        normals=normals,
         vpts1=_flat(vp1, 3), vw1=_flat(vw1, 0), voff1=_offsets(vw1),
         vpts2=_flat(vp2, 3), vw2=_flat(vw2, 0), voff2=_offsets(vw2),
         spts=_flat(sp, 3), sw=_flat(sw, 0), soff=_offsets(sw),
-        subtets1=sub1, subtets2=sub2, stris=stris,
     )
 
 

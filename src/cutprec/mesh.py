@@ -98,9 +98,6 @@ class Mesh:
         extent = self.box[1] - self.box[0]
         return float(np.max(extent) / self.lattice_n)
 
-    def tet_coords(self, t: int) -> np.ndarray:
-        return self.vertices[self.tets[t]]
-
 
 @dataclass(frozen=True)
 class RefinementMaps:
@@ -332,12 +329,3 @@ class MeshHierarchy:
         sub.maps = self.maps[:level]
         return sub
 
-
-def dump_mesh(mesh: Mesh, path) -> None:
-    """Write an ASCII dump: 'nv nt' header, vertex coordinates, tet vertex ids."""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_tets}\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for t in mesh.tets:
-            fh.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")

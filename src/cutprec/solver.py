@@ -115,11 +115,6 @@ class SymmetricGaussSeidel:
         return x
 
 
-def sgs_apply(M: sp.spmatrix, r: np.ndarray) -> np.ndarray:
-    """One symmetric Gauss-Seidel sweep applied to r."""
-    return SymmetricGaussSeidel(M).apply(r)
-
-
 def pcg(A: sp.spmatrix, b: np.ndarray, precond=None, tol: float = 1e-6,
         max_iter: int = 1000, level: int | None = None,
         delta: float | None = None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CUT, CutInfo, p1_gradients
+from .geometry import CutInfo
 from .mesh import Mesh
 
 INTERFACE = "interface"
@@ -101,7 +101,7 @@ def build_index_sets(mesh: Mesh, cutinfo: CutInfo,
     phi = cutinfo.vertex_phi
     ext1_nodes = _vertex_set(mesh.tets, cutinfo.ext1)
     ext2_nodes = _vertex_set(mesh.tets, cutinfo.ext2)
-    cut_nodes = _vertex_set(mesh.tets, cutinfo.gamma_tets)
+    cut_nodes = _vertex_set(mesh.tets, cutinfo.cut_tets)
     if problem == INTERFACE:
         keep = ~mesh.boundary_vertex_flags
         I1 = ext1_nodes[keep[ext1_nodes]]
@@ -172,16 +172,3 @@ def build_dof_layout(sets: IndexSets, problem: str | None = None) -> DofLayout:
         x0_dof=inverse(x0), x1_dof=inverse(x1, offset=N0),
     )
 
-
-def evaluate_basis(verts, point, tol: float = 1e-10):
-    """Values and gradients of the 4 nodal P1 functions of a tet at a point."""
-    verts = np.asarray(verts, dtype=float)
-    point = np.asarray(point, dtype=float)
-    J = (verts[1:] - verts[0]).T
-    xi = np.linalg.solve(J, point - verts[0])
-    lam = np.empty(4)
-    lam[1:] = xi
-    lam[0] = 1.0 - xi.sum()
-    if lam.min() < -tol:
-        raise ValueError("point lies outside the tetrahedron")
-    return lam, p1_gradients(verts)

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutprec.experiments import (ExperimentConfig, build_system,
-                                 run_delta_sweep, run_fd_study,
-                                 run_interface_study)
+from cutprec.experiments import ExperimentConfig, build_system, run_study
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
@@ -38,17 +36,17 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def interface_study():
-    return run_interface_study(ExperimentConfig(max_level=3))
+    return run_study(ExperimentConfig(max_level=3))
 
 
 @pytest.fixture(scope="module")
 def delta_sweep():
-    return run_delta_sweep(ExperimentConfig())
+    return run_study(ExperimentConfig(), deltas=True)
 
 
 @pytest.fixture(scope="module")
 def fd_study():
-    return run_fd_study(ExperimentConfig(problem=FICTITIOUS, max_level=3))
+    return run_study(ExperimentConfig(problem=FICTITIOUS, max_level=3))
 
 
 def test_criterion_1_interface_dimensions(interface_study):
@@ -81,10 +79,14 @@ def test_criterion_3_conditioning(interface_study):
     kappa = [r.kappa2 for r in interface_study.rows]
     factors = [max(k / p, p / k) for k, p in zip(kappa, PAPER_KAPPA)]
     growth = kappa[3] / kappa[2]
-    ok = max(factors) <= 2.0 and 1.0 <= growth <= 4.0
+    # an unconverged Lanczos estimate is only a lower bound on kappa2
+    unconverged = [r.level for r in interface_study.rows
+                   if not r.kappa2_converged]
+    ok = max(factors) <= 2.0 and 1.0 <= growth <= 4.0 and not unconverged
     report(3, ok, "kappa2 " + str([f"{k:.3e}" for k in kappa]) +
            f", reference factors {[f'{f:.2f}' for f in factors]} <= 2, "
-           f"growth l2->l3 {growth:.2f} in [1,4]")
+           f"growth l2->l3 {growth:.2f} in [1,4], unconverged levels "
+           f"{unconverged or 'none'}")
 
 
 def test_criterion_4_preconditioner_optimality(interface_study):

@@ -8,14 +8,14 @@ from cutprec.assembly import (
     assemble_fd,
     assemble_interface,
     build_L,
-    build_L_fd,
     dirichlet_values,
     element_diameters,
     export_matrix_market,
     is_symmetric,
     transform,
 )
-from cutprec.geometry import SphereLevelSet, build_cut_info, p1_gradients
+from cutprec.geometry import (SphereLevelSet, build_cut_info, interface_rule,
+                              p1_gradients)
 from cutprec.mesh import MeshHierarchy
 from cutprec.space import (
     FICTITIOUS,
@@ -114,7 +114,7 @@ def test_penalty_difference_matches_surface_oracle(interface1):
         verts = mesh.vertices[vs]
         G = p1_gradients(verts)
         mass = np.zeros((4, 4))
-        for tri in ci.stris[c]:
+        for tri in interface_rule(verts, ci.vertex_phi[vs]).triangles:
             e1 = tri[1] - tri[0]
             e2 = tri[2] - tri[0]
             area = 0.5 * np.linalg.norm(np.cross(e1, e2))
@@ -145,7 +145,7 @@ def test_fd_penalty_difference_matches_surface_oracle(fictitious1):
         verts = mesh.vertices[vs]
         G = p1_gradients(verts)
         mass = np.zeros((4, 4))
-        for tri in ci.stris[c]:
+        for tri in interface_rule(verts, ci.vertex_phi[vs]).triangles:
             e1 = tri[1] - tri[0]
             e2 = tri[2] - tri[0]
             area = 0.5 * np.linalg.norm(np.cross(e1, e2))
@@ -345,8 +345,6 @@ def test_mismatched_layout_rejected(interface1, fictitious1):
                            lambda pts, side: zero(pts))
     with pytest.raises(ValueError):
         assemble_fd(mesh, ci, layout_if, coeffs, zero, zero)
-    with pytest.raises(ValueError):
-        build_L_fd(layout_if)
 
 
 def test_damaged_cut_rules_rejected(interface1):

@@ -4,17 +4,20 @@ Symbolic differentiation provides the oracle for the closed-form solution
 bundles; the study drivers run at levels 0-2 where everything is cheap.
 """
 
+import argparse
+import json
+
 import numpy as np
 import pytest
 import sympy
 
-from cutprec.cli import main
+from cutprec import solver
+from cutprec.cli import _add_config_options, main
 from cutprec.experiments import (ExperimentConfig, ManufacturedSolution,
                                  StudyResult, LevelResult, ErrorNorms,
                                  build_system, error_norms,
                                  fictitious_solution, interface_solution,
-                                 run_delta_sweep, run_fd_study,
-                                 run_interface_study, write_tables)
+                                 run_study, write_tables)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
@@ -130,7 +133,8 @@ def test_order_computation_is_log2_ratio():
     cfg = ExperimentConfig(max_level=1)
     rows = [LevelResult(level=k, h=0.75 / 2 ** k, N0=1, N1=1,
                         errors=ErrorNorms(l2=e, h1_semi=2 * e, h1_full=3 * e),
-                        kappa2=1.0, iterations={k2: 5 for k2 in
+                        kappa2=1.0, kappa2_converged=True,
+                        iterations={k2: 5 for k2 in
                                                 cfg.preconditioners})
             for k, e in enumerate([0.4, 0.1])]
     d = StudyResult(INTERFACE, cfg, rows).row_dicts()
@@ -147,7 +151,6 @@ def test_config_roundtrip_and_validation(tmp_path):
     cfg.to_file(path)
     assert ExperimentConfig.from_file(path) == cfg
 
-    import json
     data = json.loads(path.read_text())
     data["typo_key"] = 1
     bad = tmp_path / "bad.json"
@@ -158,15 +161,63 @@ def test_config_roundtrip_and_validation(tmp_path):
     for kwargs in (dict(problem="stokes"), dict(tol=0.0),
                    dict(max_level=-1), dict(x0=(0.0, 0.0)),
                    dict(preconditioners=("Cholesky",)),
-                   dict(cond_method="svd"), dict(base_order=0),
+                   dict(cond_method="svd"),
                    dict(preconditioners=()), dict(gamma=-1.0)):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
 
+def test_config_rejects_removed_base_order(tmp_path):
+    # base_order selected nothing; a saved config still carrying it is an
+    # error naming the key, not a silently ignored setting
+    path = tmp_path / "old.json"
+    ExperimentConfig().to_file(path)
+    data = json.loads(path.read_text())
+    data["base_order"] = 4
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="base_order"):
+        ExperimentConfig.from_file(path)
+
+
+def test_cli_flags_match_config_fields():
+    # one flag per config field (the problem is fixed by the subcommand or
+    # the config file) and no flag without a field
+    parser = argparse.ArgumentParser()
+    _add_config_options(parser)
+    dests = [a.dest for a in parser._actions
+             if a.dest not in ("help", "config")]
+    fields = set(ExperimentConfig.__dataclass_fields__) - {"problem"}
+    assert len(dests) == len(set(dests))
+    assert set(dests) == fields
+
+
+@pytest.fixture
+def failing_factorization(monkeypatch):
+    def refuse(self, M):
+        raise ValueError("factorization failed: singular matrix")
+
+    monkeypatch.setattr(solver.DirectSolve, "__init__", refuse)
+
+
+def test_row_failure_names_level_and_preconditioner(failing_factorization):
+    with pytest.raises(RuntimeError,
+                       match=r"BlockExact set-up failed at level 0: "
+                             r"factorization failed"):
+        run_study(ExperimentConfig(max_level=0))
+
+
+def test_row_failure_names_delta(failing_factorization):
+    cfg = ExperimentConfig(delta_level=0, deltas=(0.05,),
+                           preconditioners=("BlockDiagSGS",))
+    with pytest.raises(RuntimeError,
+                       match=r"BlockDiagSGS set-up failed at level 0, "
+                             r"delta 0.05"):
+        run_study(cfg, deltas=True)
+
+
 @pytest.fixture(scope="module")
 def tiny_interface_study():
-    return run_interface_study(ExperimentConfig(max_level=0))
+    return run_study(ExperimentConfig(max_level=0))
 
 
 def test_emission_idempotent(tiny_interface_study, tmp_path):
@@ -176,15 +227,15 @@ def test_emission_idempotent(tiny_interface_study, tmp_path):
     assert [p.read_bytes() for p in second] == before
 
     # a fresh run of the same configuration reproduces the bytes too
-    again = run_interface_study(ExperimentConfig(max_level=0))
+    again = run_study(ExperimentConfig(max_level=0))
     third = write_tables(again, tmp_path / "again", "study")
     assert [p.read_bytes() for p in third] == before
 
 
 def test_delta_zero_run_deterministic(tmp_path):
     cfg = ExperimentConfig(delta_level=0, deltas=(0.0,))
-    a = write_tables(run_delta_sweep(cfg), tmp_path / "a", "sweep")
-    b = write_tables(run_delta_sweep(cfg), tmp_path / "b", "sweep")
+    a = write_tables(run_study(cfg, deltas=True), tmp_path / "a", "sweep")
+    b = write_tables(run_study(cfg, deltas=True), tmp_path / "b", "sweep")
     assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
 
@@ -194,7 +245,7 @@ def test_study_row_contents(tiny_interface_study):
     assert set(row.iterations) == set(tiny_interface_study.config.
                                       preconditioners)
     assert all(n > 0 for n in row.iterations.values())
-    assert row.kappa2 > 1.0
+    assert row.kappa2 > 1.0 and row.kappa2_converged
     assert row.tsys.Ahat.shape == (54, 54)
 
 
@@ -202,7 +253,7 @@ def test_delta_sweep_kappa_same_order_of_magnitude():
     # moving the cut position shifts kappa2 but not its magnitude
     cfg = ExperimentConfig(delta_level=1, deltas=(0.0, 0.05),
                            preconditioners=("BlockExact",))
-    res = run_delta_sweep(cfg)
+    res = run_study(cfg, deltas=True)
     k0, k5 = (r.kappa2 for r in res.rows)
     assert max(k0 / k5, k5 / k0) <= 4.0
 
@@ -223,7 +274,7 @@ def test_fd_strip_dimension_growth():
     # the cut strip is a surface layer: dofs scale by ~4 per refinement
     cfg = ExperimentConfig(problem=FICTITIOUS, max_level=2,
                            preconditioners=("SGS",))
-    res = run_fd_study(cfg)
+    res = run_study(cfg)
     n1 = [r.N1 for r in res.rows]
     assert 3.0 <= n1[2] / n1[1] <= 5.0
 
@@ -255,6 +306,23 @@ def test_cli_cond(capsys):
     assert "kappa2(Ahat)" in out
     assert "kappa(DA^-1 Ahat)" in out
     assert "kappa(D1^-1 A1)" in out
+
+
+def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
+    # an unconverged Lanczos estimate is a lower bound and says so after
+    # the eigenvalue range
+    def unconverged(*args, **kwargs):
+        est = estimate_condition(*args, **kwargs)
+        est.converged = False
+        return est
+
+    monkeypatch.setattr("cutprec.cli.estimate_condition", unconverged)
+    assert main(["cond", "--max-level", "0"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("kappa")]
+    assert len(lines) == 3
+    assert all(ln.endswith("]  lower bound: Lanczos not converged")
+               for ln in lines)
 
 
 def test_cli_export_matrices(tmp_path):

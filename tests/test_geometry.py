@@ -242,8 +242,8 @@ def test_cut_info_invariants_level1():
     assert np.all((ci.kappa1 > 0) & (ci.kappa1 < 1))
     # element sets: minus_i and the strip partition ext_i
     for minus, ext in ((ci.minus1, ci.ext1), (ci.minus2, ci.ext2)):
-        assert not set(minus) & set(ci.gamma_tets)
-        assert set(minus) | set(ci.gamma_tets) == set(ext)
+        assert not set(minus) & set(ci.cut_tets)
+        assert set(minus) | set(ci.cut_tets) == set(ext)
 
 
 def test_normal_consistency():
@@ -254,12 +254,13 @@ def test_normal_consistency():
         verts = mesh.vertices[mesh.tets[t]]
         pv = ci.vertex_phi[mesh.tets[t]]
         grad = p1_gradients(verts).T @ pv
-        rule = ci.surface_rule(t)
-        assert np.dot(rule.normal, grad) > 0
+        c = ci.cut_index[t]
+        normal = ci.normals[c]
+        assert np.dot(normal, grad) > 0
         # normals of a sphere point radially outward
         center = np.asarray(X0)
-        for p in rule.points:
-            assert np.dot(rule.normal, p - center) > 0
+        for p in ci.spts[ci.soff[c]:ci.soff[c + 1]]:
+            assert np.dot(normal, p - center) > 0
 
 
 def test_kappa_monte_carlo_cross_check():
@@ -274,7 +275,7 @@ def test_kappa_monte_carlo_cross_check():
         # fraction by the linear interpolant, consistent with the cut geometry
         pv = ci.vertex_phi[mesh.tets[t]]
         frac = np.mean(lam @ pv < 0)
-        k1, _ = ci.kappa(t)
+        k1 = ci.kappa1[ci.cut_index[t]]
         assert k1 == pytest.approx(frac, abs=0.02)
 
 

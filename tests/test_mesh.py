@@ -6,7 +6,6 @@ from cutprec.mesh import (
     MeshHierarchy,
     build_facets,
     build_initial_mesh,
-    dump_mesh,
     refine_uniform,
 )
 
@@ -187,15 +186,3 @@ def test_conformity_all_levels():
             weights=(mesh.facets.tets >= 0).sum(axis=1))
         assert set(np.unique(counts)) <= {1.0, 2.0}
 
-
-def test_dump_roundtrip(tmp_path):
-    mesh = build_initial_mesh(2, BOX)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    nv, nt = map(int, lines[0].split())
-    assert (nv, nt) == (mesh.n_vertices, mesh.n_tets)
-    verts = np.array([[float(w) for w in ln.split()] for ln in lines[1:1 + nv]])
-    tets = np.array([[int(w) for w in ln.split()] for ln in lines[1 + nv:]])
-    assert np.array_equal(verts, mesh.vertices)
-    assert np.array_equal(tets, mesh.tets)

@@ -18,8 +18,7 @@ from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
                             GeometricMultigrid, IdentityPreconditioner,
                             PreconditionerSettings, SymmetricGaussSeidel,
                             build_mg_hierarchy, build_prolongations,
-                            estimate_condition, make_preconditioner, pcg,
-                            sgs_apply)
+                            estimate_condition, make_preconditioner, pcg)
 
 X0 = np.array([0.001, 0.002, 0.003])
 
@@ -163,7 +162,8 @@ def test_sgs_diagonal_matrix_is_exact():
     d = np.array([2.0, 5.0, 0.5, 4.0])
     M = sp.diags(d).tocsr()
     r = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(sgs_apply(M, r), r / d, rtol=0, atol=1e-15)
+    assert np.allclose(SymmetricGaussSeidel(M).apply(r), r / d,
+                       rtol=0, atol=1e-15)
 
 
 def test_sgs_matches_dense_splitting_oracle():
@@ -174,7 +174,7 @@ def test_sgs_matches_dense_splitting_oracle():
     M = (D + L) @ np.linalg.solve(D, D + U)
     r = np.random.default_rng(8).standard_normal(40)
     ref = np.linalg.solve(M, r)
-    z = sgs_apply(sp.csr_matrix(A), r)
+    z = SymmetricGaussSeidel(sp.csr_matrix(A)).apply(r)
     assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

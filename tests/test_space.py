@@ -8,7 +8,6 @@ from cutprec.space import (
     INTERFACE,
     build_dof_layout,
     build_index_sets,
-    evaluate_basis,
 )
 
 X0 = (0.001, 0.002, 0.003)
@@ -145,35 +144,3 @@ def test_growth_factors():
     for k in (2, 3):
         assert 3.0 <= n1[k] / n1[k - 1] <= 5.0
 
-
-def test_evaluate_basis_nodal_and_centroid():
-    verts = np.array([[0.0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 1]])
-    for i in range(4):
-        lam, _ = evaluate_basis(verts, verts[i])
-        expected = np.zeros(4)
-        expected[i] = 1.0
-        assert np.allclose(lam, expected, atol=1e-13)
-    lam, grads = evaluate_basis(verts, verts.mean(axis=0))
-    assert np.allclose(lam, 0.25, atol=1e-13)
-    assert np.allclose(lam.sum(), 1.0, atol=1e-13)
-    assert np.allclose(grads.sum(axis=0), 0.0, atol=1e-13)
-
-
-def test_evaluate_basis_affine_reproduction():
-    rng = np.random.default_rng(23)
-    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    verts = verts + 0.2 * rng.standard_normal((4, 3))
-    slope = np.array([2.0, -1.0, 0.3])
-    nodal = verts @ slope + 0.7
-    for _ in range(20):
-        lam = rng.dirichlet(np.ones(4))
-        p = lam @ verts
-        vals, grads = evaluate_basis(verts, p)
-        assert vals @ nodal == pytest.approx(p @ slope + 0.7, abs=1e-13)
-        assert np.allclose(grads.T @ nodal, slope, atol=1e-12)
-
-
-def test_evaluate_basis_rejects_outside_point():
-    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        evaluate_basis(verts, np.array([1.0, 1.0, 1.0]))
