@@ -173,15 +173,6 @@ def element_diameters(mesh: Mesh) -> np.ndarray:
     return lengths.max(axis=1)
 
 
-def is_symmetric(A: sp.spmatrix, tol: float = 1e-10) -> bool:
-    """Entrywise symmetry check scaled by the largest magnitude entry."""
-    diff = (A - A.T).tocoo()
-    if diff.nnz == 0:
-        return True
-    scale = 1.0 + (np.abs(A.data).max() if A.nnz else 0.0)
-    return float(np.abs(diff.data).max()) <= tol * scale
-
-
 def dirichlet_values(mesh: Mesh, g) -> np.ndarray:
     """Per-side boundary data interpolated at box-boundary vertices.
 

@@ -86,8 +86,9 @@ def _cmd_study(args) -> int:
 
 def _cmd_cond(args) -> int:
     """Condition numbers of the solved operator and its block-diagonal
-    preconditioned variants at one level.  A Lanczos estimate that did not
-    converge is a lower bound and is marked as one."""
+    preconditioned variants at one level, each with its Lanczos step count
+    (0 for a dense estimate).  A Lanczos estimate that did not converge is
+    a lower bound and is marked as one."""
     config = _config_from_args(args)
     level = config.max_level if args.level is None else args.level
     tsys = build_system(config, level=level)
@@ -103,7 +104,8 @@ def _cmd_cond(args) -> int:
         est = estimate_condition(A, B=B, method=method)
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "
-              f"[{est.lam_min:.4e}, {est.lam_max:.4e}]{mark}")
+              f"[{est.lam_min:.4e}, {est.lam_max:.4e}]  "
+              f"steps={est.iterations}{mark}")
     return 0
 
 

@@ -176,11 +176,6 @@ def _map_tet_rule(subtets: list[np.ndarray]) -> QuadRule:
     return QuadRule(points=pts, weights=w, subtets=sub)
 
 
-def full_tet_rule(verts: np.ndarray) -> QuadRule:
-    """Standard rule on the whole (uncut) tetrahedron."""
-    return _map_tet_rule([np.asarray(verts, dtype=float)])
-
-
 def cut_volume_rule(verts, phivals) -> tuple[QuadRule, QuadRule]:
     """Volume rules on the two sides of the linear cut of one tetrahedron."""
     verts = np.asarray(verts, dtype=float)
@@ -317,7 +312,7 @@ def ghost_facets(mesh: Mesh, cutinfo: CutInfo, side: int) -> np.ndarray:
     else:
         raise ValueError("side must be 1 or 2")
     ft = mesh.facets.tets
-    interior = ft[:, 1] >= 0
+    interior = ~mesh.facets.is_boundary
     both_ext = np.zeros(mesh.facets.n_facets, dtype=bool)
     both_ext[interior] = in_ext[ft[interior, 0]] & in_ext[ft[interior, 1]]
     is_cut = cutinfo.tet_class == CUT

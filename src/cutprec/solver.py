@@ -46,18 +46,6 @@ class SolveReport:
     kappa: float | None = None
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "preconditioner": self.preconditioner,
-            "tol": self.tol,
-            "seconds": self.seconds,
-            "level": self.level,
-            "delta": self.delta,
-            "kappa": self.kappa,
-        }
-
 
 class IdentityPreconditioner:
     kind = "Identity"
@@ -327,6 +315,7 @@ class ConditionEstimate:
     kappa: float
     converged: bool
     method: str
+    iterations: int  # Lanczos steps taken; 0 on the dense path
 
 
 def _dense_extremes(A, B=None):
@@ -339,61 +328,72 @@ def _dense_extremes(A, B=None):
     return float(ev[0]), float(ev[-1])
 
 
+def _tridiagonal_extremes(d, e):
+    """Smallest and largest eigenvalue of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e, by bisection on those two only."""
+    k = len(d)
+    if k == 1:
+        return float(d[0]), float(d[0])
+    lo, hi = (sla.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                   select_range=(i, i), check_finite=False)[0]
+              for i in (0, k - 1))
+    return float(lo), float(hi)
+
+
 def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
-    """Extreme eigenvalues of B^{-1}A by Lanczos in the B inner product
-    with full reorthogonalization.  B=None means the identity."""
+    """Extreme eigenvalues of B^{-1}A by Lanczos in the B inner product;
+    B=None means the identity.
+
+    Each step applies the three-term recurrence and then one full classical
+    Gram-Schmidt pass against the whole basis in the B inner product, as
+    two matrix-vector products with the stored basis V and BV = B V.  The
+    extreme Ritz values are checked every step; the run stops when both
+    change by less than rtol (relative).  Returns (lam_min, lam_max,
+    converged, steps).
+    """
     n = A.shape[0]
     if budget is None:
         budget = min(5 * n, 2000)
+    if budget < 1:
+        raise ValueError(f"Lanczos budget must be at least 1, got {budget}")
     budget = min(budget, n)
     binv = DirectSolve(B) if B is not None else None
+    V = np.empty((budget + 1, n))
+    BV = np.empty_like(V) if B is not None else V  # B V; V itself for B=I
+    alpha = np.empty(budget)
+    beta = np.empty(budget)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     bv = B @ v if B is not None else v
     nrm = np.sqrt(v @ bv)
-    v, bv = v / nrm, bv / nrm
-    basis = [v]
-    bbasis = [bv]
-    alphas, betas = [], []
+    V[0], BV[0] = v / nrm, bv / nrm
     prev = None
     converged = False
     for j in range(budget):
-        av = A @ basis[-1]
+        k = j + 1
+        av = A @ V[j]
         w = binv.apply(av) if binv is not None else av.copy()
-        alphas.append(float(av @ basis[-1]))
-        # full reorthogonalization in the B inner product
-        for vec, bvec in zip(basis, bbasis):
-            w -= (w @ bvec) * vec
-        for vec, bvec in zip(basis, bbasis):
-            w -= (w @ bvec) * vec
+        alpha[j] = av @ V[j]
+        w -= alpha[j] * V[j]
+        if j > 0:
+            w -= beta[j - 1] * V[j - 1]
+        w -= V[:k].T @ (BV[:k] @ w)
         bw = B @ w if B is not None else w
-        beta = float(np.sqrt(max(w @ bw, 0.0)))
-        if len(alphas) >= 2 or beta <= 1e-14:
-            t = sla.eigh_tridiagonal(np.array(alphas), np.array(betas),
-                                     eigvals_only=True) \
-                if betas else np.array(alphas)
-            lo, hi = float(t[0]), float(t[-1])
-            if prev is not None and beta > 1e-14:
-                dlo = abs(lo - prev[0]) / max(abs(lo), 1e-300)
-                dhi = abs(hi - prev[1]) / max(abs(hi), 1e-300)
-                if max(dlo, dhi) < rtol:
-                    converged = True
-                    break
-            prev = (lo, hi)
-        if beta <= 1e-14:  # invariant subspace exhausted: exact extremes
+        b = float(np.sqrt(max(w @ bw, 0.0)))
+        lo, hi = _tridiagonal_extremes(alpha[:k], beta[:j])
+        if b <= 1e-14:  # invariant subspace exhausted: exact extremes
             converged = True
             break
-        betas.append(beta)
-        v = w / beta
-        basis.append(v)
-        bbasis.append(bw / beta if B is not None else v)
-    if len(alphas) == n:
-        converged = True
-    # the trailing beta couples to the dropped next vector; T_k keeps k-1
-    betas = betas[:len(alphas) - 1]
-    t = sla.eigh_tridiagonal(np.array(alphas), np.array(betas),
-                             eigvals_only=True) if betas else np.array(alphas)
-    return float(t[0]), float(t[-1]), converged
+        if j >= 2:
+            dlo = abs(lo - prev[0]) / max(abs(lo), 1e-300)
+            dhi = abs(hi - prev[1]) / max(abs(hi), 1e-300)
+            if max(dlo, dhi) < rtol:
+                converged = True
+                break
+        prev = (lo, hi)
+        beta[j] = b
+        V[k], BV[k] = w / b, bw / b
+    return lo, hi, converged or k == n, k
 
 
 def estimate_condition(A, B=None, method: str = "auto", budget: int = None,
@@ -403,8 +403,10 @@ def estimate_condition(A, B=None, method: str = "auto", budget: int = None,
     (A, B) when B is given (i.e. of B^{-1}A with both operators SPD).
 
     method "auto" uses a dense solve up to dense_limit unknowns and Lanczos
-    with full reorthogonalization beyond; "dense"/"lanczos" force the path.
-    A non-converged Lanczos result is a lower bound on kappa and is flagged.
+    beyond; "dense"/"lanczos" force the path.  Lanczos runs the three-term
+    recurrence plus one full Gram-Schmidt pass in the B inner product, for
+    at most budget steps (default min(5n, 2000); at least 1).  A
+    non-converged Lanczos result is a lower bound on kappa and is flagged.
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
@@ -413,11 +415,12 @@ def estimate_condition(A, B=None, method: str = "auto", budget: int = None,
         method = "dense" if n <= dense_limit else "lanczos"
     if method == "dense":
         lo, hi = _dense_extremes(A, B)
-        converged = True
+        converged, steps = True, 0
     else:
-        lo, hi, converged = _lanczos_extremes(A, B, budget, seed)
+        lo, hi, converged, steps = _lanczos_extremes(A, B, budget, seed)
     if lo <= 0.0:
         raise ValueError("operator is not positive definite "
                          f"(smallest eigenvalue {lo:.3e})")
     return ConditionEstimate(lam_min=lo, lam_max=hi, kappa=hi / lo,
-                             converged=converged, method=method)
+                             converged=converged, method=method,
+                             iterations=steps)

@@ -78,14 +78,6 @@ class DofLayout:
     def dim(self) -> int:
         return self.N0 + self.N1
 
-    @property
-    def n_v1(self) -> int:
-        return self.v1_vertices.shape[0]
-
-    @property
-    def n_v2(self) -> int:
-        return self.v2_vertices.shape[0]
-
 
 def _vertex_set(tets: np.ndarray, element_ids: np.ndarray) -> np.ndarray:
     if element_ids.size == 0:

@@ -309,20 +309,25 @@ def test_cli_cond(capsys):
 
 
 def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
-    # an unconverged Lanczos estimate is a lower bound and says so after
-    # the eigenvalue range
+    # each line gives the Lanczos step count after the eigenvalue range; an
+    # unconverged estimate is a lower bound and says so after the count
+    steps = []
+
     def unconverged(*args, **kwargs):
         est = estimate_condition(*args, **kwargs)
         est.converged = False
+        steps.append(est.iterations)
         return est
 
     monkeypatch.setattr("cutprec.cli.estimate_condition", unconverged)
-    assert main(["cond", "--max-level", "0"]) == 0
+    assert main(["cond", "--max-level", "0", "--cond-method",
+                 "lanczos"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]
-    assert len(lines) == 3
-    assert all(ln.endswith("]  lower bound: Lanczos not converged")
-               for ln in lines)
+    assert len(lines) == 3 and all(n > 0 for n in steps)
+    for ln, n in zip(lines, steps):
+        assert ln.endswith(f"]  steps={n}  lower bound: Lanczos not "
+                           "converged")
 
 
 def test_cli_export_matrices(tmp_path):

@@ -17,7 +17,6 @@ from cutprec.geometry import (
     build_cut_info,
     classify,
     cut_volume_rule,
-    full_tet_rule,
     ghost_facets,
     interface_rule,
     p1_gradients,
@@ -155,8 +154,11 @@ def test_cut_volume_all_sign_patterns_partition():
 
 
 def test_uncut_rule_full_volume():
-    r = full_tet_rule(REF_TET)
-    assert r.weights.sum() == pytest.approx(1.0 / 6.0, abs=1e-15)
+    # the reference rule is a convex combination over the whole tetrahedron:
+    # mapped onto one, its weights sum to the volume
+    assert TET_RULE_W.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(TET_RULE_W > 0) and np.all(TET_RULE_LAM >= 0)
+    assert np.allclose(TET_RULE_LAM.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_cut_rule_rejects_uncut():
@@ -170,9 +172,11 @@ def test_mapped_rule_matches_symbolic_integrals_per_subtet():
     x, y, z, u, v, w = sp.symbols("x y z u v w")
     phi = np.array([-0.3, 0.8, -0.5, 0.6])  # 2-2 cut
     r_neg, r_pos = cut_volume_rule(REF_TET, phi)
+    q = TET_RULE_W.size  # each sub-tetrahedron carries q consecutive points
     for rule in (r_neg, r_pos):
-        for sub in rule.subtets:
-            single = full_tet_rule(sub)
+        for i, sub in enumerate(rule.subtets):
+            pts = rule.points[i * q:(i + 1) * q]
+            wts = rule.weights[i * q:(i + 1) * q]
             for (a, b, c) in [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1),
                               (4, 0, 0), (2, 0, 2)]:
                 v0 = sub[0]
@@ -185,8 +189,8 @@ def test_mapped_rule_matches_symbolic_integrals_per_subtet():
                         sp.integrate(integrand, (w, 0, 1 - u - v)),
                         (v, 0, 1 - u)),
                     (u, 0, 1))
-                approx = np.sum(single.weights * single.points[:, 0]**a
-                                * single.points[:, 1]**b * single.points[:, 2]**c)
+                approx = np.sum(wts * pts[:, 0]**a * pts[:, 1]**b
+                                * pts[:, 2]**c)
                 assert approx == pytest.approx(float(exact), abs=1e-14)
 
 

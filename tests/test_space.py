@@ -83,9 +83,9 @@ def test_dof_layout_orderings(hierarchy, cutinfos):
     assert np.array_equal(lay.x1_vertices, s.IG)
     # inverse maps are bijections onto consecutive ranges
     assert np.array_equal(np.sort(lay.v1_dof[lay.v1_vertices]),
-                          np.arange(lay.n_v1))
+                          np.arange(lay.v1_vertices.size))
     assert np.array_equal(np.sort(lay.v2_dof[lay.v2_vertices]),
-                          np.arange(lay.n_v1, lay.dim))
+                          np.arange(lay.v1_vertices.size, lay.dim))
     assert np.array_equal(lay.x0_dof[lay.x0_vertices], np.arange(lay.N0))
     assert np.array_equal(lay.x1_dof[lay.x1_vertices],
                           np.arange(lay.N0, lay.dim))
@@ -122,7 +122,7 @@ def test_fd_dimensions_match_reference_counts(hierarchy, cutinfos):
 def test_fd_layout_is_identity_friendly(hierarchy, cutinfos):
     mesh, ci = hierarchy.levels[1], cutinfos[1]
     lay = build_dof_layout(build_index_sets(mesh, ci, FICTITIOUS))
-    assert lay.n_v2 == 0
+    assert lay.v2_vertices.size == 0
     assert np.array_equal(lay.v1_vertices,
                           np.concatenate([lay.x0_vertices, lay.x1_vertices]))
 
