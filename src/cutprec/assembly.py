@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
-    ghost_facets
+    ghost_facets, p1_gradients
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
@@ -158,10 +158,7 @@ class _SystemAccumulator:
 
 def all_gradients(mesh: Mesh) -> np.ndarray:
     """Constant P1 shape gradients for every element, shape (nt, 4, 3)."""
-    verts = mesh.vertices[mesh.tets]
-    edges = verts[:, 1:, :] - verts[:, :1, :]
-    inv = np.linalg.inv(np.transpose(edges, (0, 2, 1)))
-    return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+    return p1_gradients(mesh.vertices[mesh.tets])
 
 
 def element_diameters(mesh: Mesh) -> np.ndarray:

@@ -189,8 +189,9 @@ class ErrorNorms:
 class LevelResult:
     """One study row plus the transformed system it came from.
 
-    kappa2_converged is False when kappa2 is a Lanczos lower bound; the
-    tables leave it out.
+    kappa2_converged is False when kappa2 is a Lanczos lower bound, and
+    kappa2_steps counts the Lanczos steps (0 for a dense estimate); the
+    tables leave both out.
     """
 
     level: int
@@ -200,6 +201,7 @@ class LevelResult:
     errors: ErrorNorms
     kappa2: float
     kappa2_converged: bool
+    kappa2_steps: int
     iterations: dict
     delta: float | None = None
     tsys: TransformedSystem = field(repr=False, default=None)
@@ -397,6 +399,7 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
     return LevelResult(level=level, h=mesh.h, N0=layout.N0, N1=layout.N1,
                        errors=errors, kappa2=est.kappa,
                        kappa2_converged=est.converged,
+                       kappa2_steps=est.iterations,
                        iterations=iterations, delta=delta, tsys=tsys)
 
 

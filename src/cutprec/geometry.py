@@ -7,11 +7,17 @@ splits the element into a corner tetrahedron plus a prism (one vertex
 separated) or into two prisms (two vertices separated); each prism is further
 split into 3 tetrahedra.  Standard positive-weight rules (degree 5 on
 tetrahedra, degree 4 on triangles) are mapped onto the pieces.
+
+All cut elements are processed at once, in two batches by sign pattern (one
+vertex against three, two against two): the cut points, pieces and mapped
+rules of a batch are array operations, scattered into flat per-element
+arrays in element order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,30 +80,12 @@ class SphereLevelSet:
         return np.linalg.norm(x - self.center, axis=-1) - self.radius
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature on a union of sub-tetrahedra: weights scale with volume."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    subtets: np.ndarray  # (k, 4, 3) the sub-tessellation carrying the rule
-
-
-@dataclass(frozen=True)
-class SurfaceRule:
-    """Quadrature on the planar interface patch of one cut tetrahedron."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    normal: np.ndarray  # unit, pointing from {phi<0} to {phi>0}
-    triangles: np.ndarray  # (k, 3, 3)
-
-
 def p1_gradients(verts: np.ndarray) -> np.ndarray:
-    """Constant gradients of the 4 nodal P1 basis functions on a tet."""
-    J = (verts[1:] - verts[0]).T
+    """Constant gradients of the 4 nodal P1 basis functions on tets given as
+    vertex arrays of shape (..., 4, 3); returns shape (..., 4, 3)."""
+    J = np.swapaxes(verts[..., 1:, :] - verts[..., :1, :], -1, -2)
     Jinv = np.linalg.inv(J)
-    return np.vstack([-Jinv.sum(axis=0), Jinv])
+    return np.concatenate([-Jinv.sum(axis=-2, keepdims=True), Jinv], axis=-2)
 
 
 def classify(mesh: Mesh, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -117,86 +105,136 @@ def classify(mesh: Mesh, phi) -> tuple[np.ndarray, np.ndarray]:
     return tet_class, snapped
 
 
-def _abs_volume(tet: np.ndarray) -> float:
-    e = tet[1:] - tet[0]
-    return abs(np.dot(e[0], np.cross(e[1], e[2]))) / 6.0
+class CutRules(NamedTuple):
+    """Cut quadrature of a batch of tetrahedra, flat in element order.
+
+    Element c owns rows voff1[c]:voff1[c + 1] of vpts1/vw1 (side 1,
+    phi < 0), voff2[c]:voff2[c + 1] of vpts2/vw2 (side 2) and
+    soff[c]:soff[c + 1] of spts/sw (the interface patch).  vol1/vol2 are
+    the side volumes and normals the unit interface normals, pointing from
+    side 1 to side 2.
+    """
+
+    vol1: np.ndarray
+    vol2: np.ndarray
+    normals: np.ndarray
+    vpts1: np.ndarray
+    vw1: np.ndarray
+    voff1: np.ndarray
+    vpts2: np.ndarray
+    vw2: np.ndarray
+    voff2: np.ndarray
+    spts: np.ndarray
+    sw: np.ndarray
+    soff: np.ndarray
 
 
-def _prism_tets(a0, a1, a2, b0, b1, b2) -> list[np.ndarray]:
-    """Split the prism with triangles (a0,a1,a2), (b0,b1,b2) and edges ai-bi."""
-    return [np.array([a0, a1, a2, b0]),
-            np.array([a1, a2, b0, b1]),
-            np.array([a2, b0, b1, b2])]
+def _cut_point(v, p, i, j):
+    """Zero of the linear level set on the edge from local vertex i to j."""
+    return v[:, i] + (p[:, i] / (p[:, i] - p[:, j]))[:, None] * (v[:, j] - v[:, i])
 
 
-def _cut_points(verts, phi, lone, others):
-    return [verts[lone] + (phi[lone] / (phi[lone] - phi[o])) * (verts[o] - verts[lone])
-            for o in others]
+def _prism(a0, a1, a2, b0, b1, b2):
+    """Split the prisms with triangles (a0,a1,a2), (b0,b1,b2) and edges ai-bi
+    into 3 tets each; returns shape (m, 3, 4, 3)."""
+    return np.stack([np.stack([a0, a1, a2, b0], axis=1),
+                     np.stack([a1, a2, b0, b1], axis=1),
+                     np.stack([a2, b0, b1, b2], axis=1)], axis=1)
 
 
-def _split_cut_tet(verts: np.ndarray, phi: np.ndarray):
-    """Sub-tessellate a cut tet; returns (neg sub-tets, pos sub-tets, interface
-    triangles) where the interface triangles follow the tet facet structure."""
-    neg_ids = [i for i in range(4) if phi[i] < 0.0]
-    pos_ids = [i for i in range(4) if phi[i] >= 0.0]
-    if not neg_ids or not pos_ids:
-        raise ValueError("tet is not cut by the linear level set")
-    if len(neg_ids) == 1 or len(pos_ids) == 1:
-        lone, others = (neg_ids[0], pos_ids) if len(neg_ids) == 1 \
-            else (pos_ids[0], neg_ids)
-        p = _cut_points(verts, phi, lone, others)
-        corner = [np.array([verts[lone], p[0], p[1], p[2]])]
-        prism = _prism_tets(p[0], p[1], p[2],
-                            verts[others[0]], verts[others[1]], verts[others[2]])
-        tris = [np.array([p[0], p[1], p[2]])]
-        if len(neg_ids) == 1:
-            return corner, prism, tris
-        return prism, corner, tris
-    a, b = neg_ids
-    c, d = pos_ids
-    pac, pad = _cut_points(verts, phi, a, [c, d])
-    pbc, pbd = _cut_points(verts, phi, b, [c, d])
-    neg_sub = _prism_tets(verts[a], pac, pad, verts[b], pbc, pbd)
-    pos_sub = _prism_tets(verts[c], pac, pbc, verts[d], pad, pbd)
+def _mapped_rule(cells):
+    """Map the tet or triangle rule onto k simplices per element, cells of
+    shape (m, k, d + 1, 3); returns points (m, k * q, 3), weights (m, k * q)."""
+    m, k = cells.shape[:2]
+    flat = cells.reshape((m * k,) + cells.shape[2:])
+    e = flat[:, 1:] - flat[:, :1]
+    if flat.shape[1] == 4:
+        lam, w = TET_RULE_LAM, TET_RULE_W
+        size = np.abs(np.einsum("ki,ki->k", e[:, 0],
+                                np.cross(e[:, 1], e[:, 2]))) / 6.0
+    else:
+        lam, w = TRI_RULE_LAM, TRI_RULE_W
+        size = 0.5 * np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
+    pts = np.einsum("qi,kix->kqx", lam, flat)
+    return pts.reshape(m, k * w.size, 3), \
+        (size[:, None] * w[None, :]).reshape(m, k * w.size)
+
+
+def cut_rules(verts, phi) -> CutRules:
+    """Sub-tessellate cut tetrahedra and map quadrature onto the pieces.
+
+    verts (n, 4, 3) and phi (n, 4) hold the vertices and the level-set
+    values of n tets, each with both signs (phi >= 0 counts as side 2).
+    The elements are split in two batches by sign pattern.  One vertex
+    against three gives a corner tet plus a prism of 3 tets and one
+    interface triangle; two against two give two prisms of 3 tets and an
+    interface quad split into two triangles.  Within an element the lone
+    vertex (or the two negative ones) comes first and the rest follow in
+    local order, so every element gets the pieces, points and weights of
+    its own one-element split, bit for bit.
+    """
+    verts = np.asarray(verts, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    n = phi.shape[0]
+    neg = phi < 0.0
+    nneg = neg.sum(axis=1)
+    uncut = np.flatnonzero((nneg == 0) | (nneg == 4))
+    if uncut.size:
+        raise ValueError(f"{uncut.size} tets are not cut by the linear level "
+                         f"set, the first at row {uncut[0]}")
+    first = np.where((nneg == 3)[:, None], ~neg, neg)
+    order = np.argsort(~first, axis=1, kind="stable")
+    v = np.take_along_axis(verts, order[:, :, None], axis=1)
+    p = np.take_along_axis(phi, order, axis=1)
+
+    qv, qs = TET_RULE_W.size, TRI_RULE_W.size
+    offs = [np.zeros(n + 1, dtype=np.int64) for _ in range(3)]
+    for off, count in zip(offs, (np.where(nneg == 1, qv, 3 * qv),
+                                 np.where(nneg == 3, qv, 3 * qv),
+                                 np.where(nneg == 2, 2 * qs, qs))):
+        np.cumsum(count, out=off[1:])
+    # (points, weights, offsets, measures) of side 1, side 2, the interface
+    side1, side2, surf = ((np.empty((off[-1], 3)), np.empty(off[-1]), off,
+                           np.empty(n)) for off in offs)
+
+    def put(dst, rows, cells):
+        pts, wts, off, vol = dst
+        rp, rw = _mapped_rule(cells)
+        idx = off[rows, None] + np.arange(rw.shape[1])
+        pts[idx] = rp
+        wts[idx] = rw
+        vol[rows] = rw.sum(axis=1)
+
+    one = np.flatnonzero(nneg != 2)
+    vo, po = v[one], p[one]
+    c = [_cut_point(vo, po, 0, j) for j in (1, 2, 3)]
+    lone_neg = nneg[one] == 1
+    for cells, on_side1 in ((np.stack([vo[:, 0]] + c, axis=1)[:, None],
+                             lone_neg),
+                            (_prism(*c, vo[:, 1], vo[:, 2], vo[:, 3]),
+                             ~lone_neg)):
+        put(side1, one[on_side1], cells[on_side1])
+        put(side2, one[~on_side1], cells[~on_side1])
+    put(surf, one, np.stack(c, axis=1)[:, None])
+
+    two = np.flatnonzero(nneg == 2)
+    vt, pt = v[two], p[two]
+    pac, pad = _cut_point(vt, pt, 0, 2), _cut_point(vt, pt, 0, 3)
+    pbc, pbd = _cut_point(vt, pt, 1, 2), _cut_point(vt, pt, 1, 3)
+    put(side1, two, _prism(vt[:, 0], pac, pad, vt[:, 1], pbc, pbd))
+    put(side2, two, _prism(vt[:, 2], pac, pbc, vt[:, 3], pad, pbd))
     # interface quad in cyclic order, split along one diagonal
-    tris = [np.array([pac, pad, pbd]), np.array([pac, pbd, pbc])]
-    return neg_sub, pos_sub, tris
+    put(surf, two, np.stack([np.stack([pac, pad, pbd], axis=1),
+                             np.stack([pac, pbd, pbc], axis=1)], axis=1))
 
-
-def _map_tet_rule(subtets: list[np.ndarray]) -> QuadRule:
-    if not subtets:
-        return QuadRule(points=np.zeros((0, 3)), weights=np.zeros(0),
-                        subtets=np.zeros((0, 4, 3)))
-    sub = np.array(subtets)
-    pts = np.einsum("qi,kix->kqx", TET_RULE_LAM, sub).reshape(-1, 3)
-    e = sub[:, 1:] - sub[:, :1]
-    vols = np.abs(np.einsum("ki,ki->k", e[:, 0],
-                            np.cross(e[:, 1], e[:, 2]))) / 6.0
-    w = (vols[:, None] * TET_RULE_W[None, :]).reshape(-1)
-    return QuadRule(points=pts, weights=w, subtets=sub)
-
-
-def cut_volume_rule(verts, phivals) -> tuple[QuadRule, QuadRule]:
-    """Volume rules on the two sides of the linear cut of one tetrahedron."""
-    verts = np.asarray(verts, dtype=float)
-    phivals = np.asarray(phivals, dtype=float)
-    neg_sub, pos_sub, _ = _split_cut_tet(verts, phivals)
-    return _map_tet_rule(neg_sub), _map_tet_rule(pos_sub)
-
-
-def interface_rule(verts, phivals) -> SurfaceRule:
-    """Surface rule on the planar interface patch of one cut tetrahedron."""
-    verts = np.asarray(verts, dtype=float)
-    phivals = np.asarray(phivals, dtype=float)
-    _, _, tris = _split_cut_tet(verts, phivals)
-    tri = np.array(tris)
-    pts = np.einsum("qi,kix->kqx", TRI_RULE_LAM, tri).reshape(-1, 3)
-    areas = 0.5 * np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-    w = (areas[:, None] * TRI_RULE_W[None, :]).reshape(-1)
-    grad = p1_gradients(verts).T @ phivals
-    normal = grad / np.linalg.norm(grad)
-    return SurfaceRule(points=pts, weights=w, normal=normal, triangles=tri)
+    # stacked matmuls reproduce the one-element G.T @ phi and
+    # np.linalg.norm(grad) to the last bit; einsum does not
+    grad = (np.swapaxes(p1_gradients(verts), 1, 2) @ phi[:, :, None])[..., 0]
+    nrm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+    return CutRules(vol1=side1[3], vol2=side2[3], normals=grad / nrm[:, None],
+                    vpts1=side1[0], vw1=side1[1], voff1=side1[2],
+                    vpts2=side2[0], vw2=side2[1], voff2=side2[2],
+                    spts=surf[0], sw=surf[1], soff=surf[2])
 
 
 @dataclass(frozen=True)
@@ -248,58 +286,36 @@ class CutInfo:
         return np.flatnonzero(self.tet_class == POS)
 
 
+def _reject(bad, cut_tets, what):
+    """Raise naming the first cut tet flagged in bad and how many are."""
+    ids = cut_tets[bad]
+    if ids.size:
+        raise RuntimeError(f"{what} tet {ids[0]} ({ids.size} of "
+                           f"{cut_tets.size} cut tets fail)")
+
+
 def build_cut_info(mesh: Mesh, phi) -> CutInfo:
     """Classify all elements and build cut quadrature for the cut ones."""
     tet_class, vertex_phi = classify(mesh, phi)
     cut_tets = np.flatnonzero(tet_class == CUT)
     cut_index = np.full(mesh.n_tets, -1, dtype=np.int64)
     cut_index[cut_tets] = np.arange(cut_tets.size)
+    tets = mesh.tets[cut_tets]
+    rules = cut_rules(mesh.vertices[tets], vertex_phi[tets])
 
-    vp1, vw1, vp2, vw2, sp, sw = [], [], [], [], [], []
-    vol1 = np.empty(cut_tets.size)
-    vol2 = np.empty(cut_tets.size)
-    normals = np.empty((cut_tets.size, 3))
-    for c, t in enumerate(cut_tets):
-        verts = mesh.vertices[mesh.tets[t]]
-        pv = vertex_phi[mesh.tets[t]]
-        r1, r2 = cut_volume_rule(verts, pv)
-        srule = interface_rule(verts, pv)
-        v1, v2 = r1.weights.sum(), r2.weights.sum()
-        tot = mesh.volumes[t]
-        if not np.isclose(v1 + v2, tot, rtol=0, atol=1e-12 * max(1.0, tot)):
-            raise RuntimeError(f"cut volumes do not partition tet {t}")
-        if np.any(r1.weights < 0) or np.any(r2.weights < 0) or np.any(srule.weights < 0):
-            raise RuntimeError(f"negative cut quadrature weight on tet {t}")
-        vol1[c], vol2[c] = v1, v2
-        normals[c] = srule.normal
-        vp1.append(r1.points)
-        vw1.append(r1.weights)
-        vp2.append(r2.points)
-        vw2.append(r2.weights)
-        sp.append(srule.points)
-        sw.append(srule.weights)
+    tot = mesh.volumes[cut_tets]
+    _reject(~(np.abs(rules.vol1 + rules.vol2 - tot)
+              <= 1e-12 * np.maximum(1.0, tot)),
+            cut_tets, "cut volumes do not partition")
+    negative = np.zeros(cut_tets.size, dtype=bool)
+    for w, off in ((rules.vw1, rules.voff1), (rules.vw2, rules.voff2),
+                   (rules.sw, rules.soff)):
+        negative[np.searchsorted(off, np.flatnonzero(w < 0), "right") - 1] = True
+    _reject(negative, cut_tets, "negative cut quadrature weight on")
 
-    def _flat(parts, width):
-        if parts:
-            arr = np.concatenate(parts)
-        else:
-            arr = np.zeros((0, width)) if width else np.zeros(0)
-        return arr
-
-    def _offsets(parts):
-        off = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum([p.shape[0] for p in parts], out=off[1:])
-        return off
-
-    kappa1 = vol1 / mesh.volumes[cut_tets] if cut_tets.size else np.zeros(0)
-    return CutInfo(
-        tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
-        cut_index=cut_index, kappa1=kappa1, vol1=vol1, vol2=vol2,
-        normals=normals,
-        vpts1=_flat(vp1, 3), vw1=_flat(vw1, 0), voff1=_offsets(vw1),
-        vpts2=_flat(vp2, 3), vw2=_flat(vw2, 0), voff2=_offsets(vw2),
-        spts=_flat(sp, 3), sw=_flat(sw, 0), soff=_offsets(sw),
-    )
+    return CutInfo(tet_class=tet_class, vertex_phi=vertex_phi,
+                   cut_tets=cut_tets, cut_index=cut_index,
+                   kappa1=rules.vol1 / tot, **rules._asdict())
 
 
 def ghost_facets(mesh: Mesh, cutinfo: CutInfo, side: int) -> np.ndarray:

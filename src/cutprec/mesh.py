@@ -124,6 +124,29 @@ def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.einsum("ti,ti->t", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
 
 
+def _unique_rows(rows: np.ndarray, n_vertices: int):
+    """Distinct rows of sorted vertex ids, through one exact int64 key per row.
+
+    Returns (uniq, inverse, order): uniq and inverse are those of
+    np.unique(rows, axis=0, return_inverse=True), and order is the stable
+    sort of the rows, np.argsort(inverse, kind="stable").
+    """
+    width = rows.shape[1]
+    if n_vertices ** width - 1 > np.iinfo(np.int64).max:  # the largest key
+        raise ValueError(f"{n_vertices} vertices overflow the int64 keys of "
+                         f"vertex {'pairs' if width == 2 else 'triples'}")
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        keys = keys * n_vertices + col
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse, order
+
+
 def _coords_from_lattice(lattice: np.ndarray, n: int, box: np.ndarray) -> np.ndarray:
     lo, hi = box[0], box[1]
     return lo + (hi - lo) * lattice / float(n)
@@ -144,12 +167,11 @@ def build_facets(mesh_or_vertices, tets: np.ndarray | None = None) -> Facets:
     local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
     faces = np.sort(tets[:, local], axis=2).reshape(-1, 3)
     owners = np.repeat(np.arange(nt), 4)
-    uniq, inv = np.unique(faces, axis=0, return_inverse=True)
+    uniq, inv, order = _unique_rows(faces, vertices.shape[0])
     nf = uniq.shape[0]
     counts = np.bincount(inv, minlength=nf)
     if counts.max() > 2:
         raise ValueError("nonconforming mesh: facet shared by more than 2 tets")
-    order = np.argsort(inv, kind="stable")
     adj = np.full((nf, 2), -1, dtype=np.int64)
     starts = np.zeros(nf + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
@@ -168,13 +190,16 @@ def build_facets(mesh_or_vertices, tets: np.ndarray | None = None) -> Facets:
     nrm = np.linalg.norm(nvec, axis=1)
     areas = 0.5 * nrm
     normals = nvec / nrm[:, None]
-    # orient away from the first adjacent tet (towards the second / outward)
-    opp = vertices[tets[adj[:, 0]]].sum(axis=1) / 4.0
-    centroid = p.mean(axis=1)
+    # orient away from the first adjacent tet (towards the second / outward);
+    # sums over short axes are spelled out, in numpy's order but faster
+    x = vertices[tets]
+    opp = ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4.0)[adj[:, 0]]
+    centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
     wrong = np.einsum("fi,fi->f", normals, centroid - opp) < 0
     normals[wrong] *= -1.0
-    edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 2] - p[:, 1]])
-    diameters = np.sqrt(np.max(np.sum(edges**2, axis=2), axis=0))
+    sq = [e[:, 0] ** 2 + e[:, 1] ** 2 + e[:, 2] ** 2
+          for e in (e1, e2, p[:, 2] - p[:, 1])]
+    diameters = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
     return Facets(vertices=uniq, tets=adj, normals=normals, areas=areas,
                   diameters=diameters)
 
@@ -241,7 +266,7 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, RefinementMaps]:
     tets = mesh.tets
     nv = mesh.n_vertices
     pairs = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1)
-    edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
+    edges, edge_of, _ = _unique_rows(pairs, nv)
     edge_of = edge_of.reshape(-1, 6)
     mid = nv + np.arange(edges.shape[0])
 

@@ -14,8 +14,7 @@ from cutprec.assembly import (
     export_matrix_market,
     transform,
 )
-from cutprec.geometry import (SphereLevelSet, build_cut_info, interface_rule,
-                              p1_gradients)
+from cutprec.geometry import SphereLevelSet, build_cut_info, p1_gradients
 from cutprec.mesh import MeshHierarchy
 from cutprec.space import (
     FICTITIOUS,
@@ -23,6 +22,7 @@ from cutprec.space import (
     build_dof_layout,
     build_index_sets,
 )
+from test_geometry import split_cut_tet
 
 X0 = (0.001, 0.002, 0.003)
 
@@ -123,7 +123,7 @@ def test_penalty_difference_matches_surface_oracle(interface1):
         verts = mesh.vertices[vs]
         G = p1_gradients(verts)
         mass = np.zeros((4, 4))
-        for tri in interface_rule(verts, ci.vertex_phi[vs]).triangles:
+        for tri in split_cut_tet(verts, ci.vertex_phi[vs])[2]:
             e1 = tri[1] - tri[0]
             e2 = tri[2] - tri[0]
             area = 0.5 * np.linalg.norm(np.cross(e1, e2))
@@ -154,7 +154,7 @@ def test_fd_penalty_difference_matches_surface_oracle(fictitious1):
         verts = mesh.vertices[vs]
         G = p1_gradients(verts)
         mass = np.zeros((4, 4))
-        for tri in interface_rule(verts, ci.vertex_phi[vs]).triangles:
+        for tri in split_cut_tet(verts, ci.vertex_phi[vs])[2]:
             e1 = tri[1] - tri[0]
             e2 = tri[2] - tri[0]
             area = 0.5 * np.linalg.norm(np.cross(e1, e2))

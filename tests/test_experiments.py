@@ -134,7 +134,7 @@ def test_order_computation_is_log2_ratio():
     rows = [LevelResult(level=k, h=0.75 / 2 ** k, N0=1, N1=1,
                         errors=ErrorNorms(l2=e, h1_semi=2 * e, h1_full=3 * e),
                         kappa2=1.0, kappa2_converged=True,
-                        iterations={k2: 5 for k2 in
+                        kappa2_steps=0, iterations={k2: 5 for k2 in
                                                 cfg.preconditioners})
             for k, e in enumerate([0.4, 0.1])]
     d = StudyResult(INTERFACE, cfg, rows).row_dicts()
@@ -246,7 +246,15 @@ def test_study_row_contents(tiny_interface_study):
                                       preconditioners)
     assert all(n > 0 for n in row.iterations.values())
     assert row.kappa2 > 1.0 and row.kappa2_converged
+    assert row.kappa2_steps == 0  # level 0 takes the dense estimate
     assert row.tsys.Ahat.shape == (54, 54)
+    assert "kappa2_steps" not in tiny_interface_study.row_dicts()[0]
+
+    lanczos = run_study(ExperimentConfig(max_level=0, cond_method="lanczos",
+                                         preconditioners=("SGS",))).rows[0]
+    est = estimate_condition(lanczos.tsys.Ahat, method="lanczos")
+    assert lanczos.kappa2_steps == est.iterations > 0
+    assert lanczos.kappa2_converged
 
 
 def test_delta_sweep_kappa_same_order_of_magnitude():

@@ -1,7 +1,10 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutprec.mesh import MeshHierarchy, build_initial_mesh
 from cutprec.geometry import (
@@ -16,14 +19,119 @@ from cutprec.geometry import (
     TRI_RULE_W,
     build_cut_info,
     classify,
-    cut_volume_rule,
+    cut_rules,
     ghost_facets,
-    interface_rule,
     p1_gradients,
 )
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 X0 = (0.001, 0.002, 0.003)
+
+
+# Reference implementation: the cut of one tetrahedron at a time.  The
+# batched kernel must reproduce it bit for bit.
+
+def _prism_tets(a0, a1, a2, b0, b1, b2):
+    """Split the prism with triangles (a0,a1,a2), (b0,b1,b2) and edges ai-bi."""
+    return [np.array([a0, a1, a2, b0]),
+            np.array([a1, a2, b0, b1]),
+            np.array([a2, b0, b1, b2])]
+
+
+def _cut_points(verts, phi, lone, others):
+    return [verts[lone] + (phi[lone] / (phi[lone] - phi[o])) * (verts[o] - verts[lone])
+            for o in others]
+
+
+def split_cut_tet(verts, phi):
+    """Sub-tessellate one cut tet; returns (neg sub-tets, pos sub-tets,
+    interface triangles)."""
+    neg_ids = [i for i in range(4) if phi[i] < 0.0]
+    pos_ids = [i for i in range(4) if phi[i] >= 0.0]
+    if not neg_ids or not pos_ids:
+        raise ValueError("tet is not cut by the linear level set")
+    if len(neg_ids) == 1 or len(pos_ids) == 1:
+        lone, others = (neg_ids[0], pos_ids) if len(neg_ids) == 1 \
+            else (pos_ids[0], neg_ids)
+        p = _cut_points(verts, phi, lone, others)
+        corner = [np.array([verts[lone], p[0], p[1], p[2]])]
+        prism = _prism_tets(p[0], p[1], p[2],
+                            verts[others[0]], verts[others[1]], verts[others[2]])
+        tris = [np.array([p[0], p[1], p[2]])]
+        if len(neg_ids) == 1:
+            return corner, prism, tris
+        return prism, corner, tris
+    a, b = neg_ids
+    c, d = pos_ids
+    pac, pad = _cut_points(verts, phi, a, [c, d])
+    pbc, pbd = _cut_points(verts, phi, b, [c, d])
+    neg_sub = _prism_tets(verts[a], pac, pad, verts[b], pbc, pbd)
+    pos_sub = _prism_tets(verts[c], pac, pbc, verts[d], pad, pbd)
+    tris = [np.array([pac, pad, pbd]), np.array([pac, pbd, pbc])]
+    return neg_sub, pos_sub, tris
+
+
+def _map_tet_rule(subtets):
+    sub = np.array(subtets)
+    pts = np.einsum("qi,kix->kqx", TET_RULE_LAM, sub).reshape(-1, 3)
+    e = sub[:, 1:] - sub[:, :1]
+    vols = np.abs(np.einsum("ki,ki->k", e[:, 0],
+                            np.cross(e[:, 1], e[:, 2]))) / 6.0
+    return pts, (vols[:, None] * TET_RULE_W[None, :]).reshape(-1)
+
+
+def _map_tri_rule(tris):
+    tri = np.array(tris)
+    pts = np.einsum("qi,kix->kqx", TRI_RULE_LAM, tri).reshape(-1, 3)
+    areas = 0.5 * np.linalg.norm(
+        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    return pts, (areas[:, None] * TRI_RULE_W[None, :]).reshape(-1)
+
+
+def oracle_cut_info(mesh, phi) -> dict:
+    """The CutInfo arrays built one element at a time."""
+    tet_class, vertex_phi = classify(mesh, phi)
+    cut_tets = np.flatnonzero(tet_class == CUT)
+    parts = {k: [] for k in ("vpts1", "vw1", "vpts2", "vw2", "spts", "sw")}
+    vol1, vol2, normals, areas = [], [], [], []
+    for t in cut_tets:
+        verts = mesh.vertices[mesh.tets[t]]
+        pv = vertex_phi[mesh.tets[t]]
+        neg_sub, pos_sub, tris = split_cut_tet(verts, pv)
+        for side, sub in (("1", neg_sub), ("2", pos_sub)):
+            pts, w = _map_tet_rule(sub)
+            parts["vpts" + side].append(pts)
+            parts["vw" + side].append(w)
+        pts, w = _map_tri_rule(tris)
+        parts["spts"].append(pts)
+        parts["sw"].append(w)
+        vol1.append(parts["vw1"][-1].sum())
+        vol2.append(parts["vw2"][-1].sum())
+        grad = p1_gradients(verts).T @ pv
+        normals.append(grad / np.linalg.norm(grad))
+        areas.append(sum(0.5 * np.linalg.norm(np.cross(tri[1] - tri[0],
+                                                       tri[2] - tri[0]))
+                         for tri in tris))
+    cut_index = np.full(mesh.n_tets, -1, dtype=np.int64)
+    cut_index[cut_tets] = np.arange(cut_tets.size)
+    out = dict(tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
+               cut_index=cut_index, vol1=np.array(vol1), vol2=np.array(vol2),
+               normals=np.array(normals).reshape(-1, 3),
+               area=np.array(areas))
+    out["kappa1"] = out["vol1"] / mesh.volumes[cut_tets]
+    for pts, w, off in (("vpts1", "vw1", "voff1"), ("vpts2", "vw2", "voff2"),
+                        ("spts", "sw", "soff")):
+        n = len(parts[w])
+        out[pts] = np.concatenate(parts[pts]) if n else np.zeros((0, 3))
+        out[w] = np.concatenate(parts[w]) if n else np.zeros(0)
+        out[off] = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([a.size for a in parts[w]], out=out[off][1:])
+    return out
+
+
+def one_cut(verts, phi):
+    """The batched kernel on a one-element input."""
+    return cut_rules(np.asarray(verts)[None], np.asarray(phi)[None])
 
 
 def monomial_integral_ref_tet(a, b, c):
@@ -116,12 +224,12 @@ def test_classify_snapping_assigns_zero_to_inside():
 
 def test_cut_volume_reference_halfplane():
     phi = REF_TET[:, 0] - 0.5
-    r_neg, r_pos = cut_volume_rule(REF_TET, phi)
-    assert r_neg.weights.sum() == pytest.approx(7.0 / 48.0, abs=1e-14)
-    assert r_pos.weights.sum() == pytest.approx(1.0 / 6.0 - 7.0 / 48.0, abs=1e-14)
-    assert np.all(r_neg.weights >= 0) and np.all(r_pos.weights >= 0)
-    assert np.all(r_neg.points[:, 0] <= 0.5 + 1e-14)
-    assert np.all(r_pos.points[:, 0] >= 0.5 - 1e-14)
+    r = one_cut(REF_TET, phi)
+    assert r.vw1.sum() == pytest.approx(7.0 / 48.0, abs=1e-14)
+    assert r.vw2.sum() == pytest.approx(1.0 / 6.0 - 7.0 / 48.0, abs=1e-14)
+    assert np.all(r.vw1 >= 0) and np.all(r.vw2 >= 0)
+    assert np.all(r.vpts1[:, 0] <= 0.5 + 1e-14)
+    assert np.all(r.vpts2[:, 0] >= 0.5 - 1e-14)
 
 
 def test_cut_volume_monte_carlo_cross_check():
@@ -134,8 +242,7 @@ def test_cut_volume_monte_carlo_cross_check():
     mc = frac / 6.0
     assert mc == pytest.approx(7.0 / 48.0, abs=4 * (1.0 / 6.0) / math.sqrt(n))
     phi = REF_TET[:, 0] - 0.5
-    r_neg, _ = cut_volume_rule(REF_TET, phi)
-    assert r_neg.weights.sum() == pytest.approx(mc, abs=5e-4)
+    assert one_cut(REF_TET, phi).vw1.sum() == pytest.approx(mc, abs=5e-4)
 
 
 def test_cut_volume_all_sign_patterns_partition():
@@ -145,12 +252,12 @@ def test_cut_volume_all_sign_patterns_partition():
         phi = rng.standard_normal(4)
         if np.all(phi < 0) or np.all(phi > 0) or np.any(phi == 0):
             continue
-        r_neg, r_pos = cut_volume_rule(verts, phi)
+        r = one_cut(verts, phi)
         e = verts[1:] - verts[0]
         vol = abs(np.dot(e[0], np.cross(e[1], e[2]))) / 6.0
-        assert r_neg.weights.sum() + r_pos.weights.sum() == pytest.approx(
+        assert r.vw1.sum() + r.vw2.sum() == pytest.approx(
             vol, abs=1e-12 * max(1.0, vol))
-        assert np.all(r_neg.weights >= 0) and np.all(r_pos.weights >= 0)
+        assert np.all(r.vw1 >= 0) and np.all(r.vw2 >= 0)
 
 
 def test_uncut_rule_full_volume():
@@ -163,7 +270,7 @@ def test_uncut_rule_full_volume():
 
 def test_cut_rule_rejects_uncut():
     with pytest.raises(ValueError):
-        cut_volume_rule(REF_TET, np.array([-1.0, -1, -1, -1]))
+        one_cut(REF_TET, np.array([-1.0, -1, -1, -1]))
 
 
 def test_mapped_rule_matches_symbolic_integrals_per_subtet():
@@ -171,12 +278,15 @@ def test_mapped_rule_matches_symbolic_integrals_per_subtet():
 
     x, y, z, u, v, w = sp.symbols("x y z u v w")
     phi = np.array([-0.3, 0.8, -0.5, 0.6])  # 2-2 cut
-    r_neg, r_pos = cut_volume_rule(REF_TET, phi)
+    r = one_cut(REF_TET, phi)
     q = TET_RULE_W.size  # each sub-tetrahedron carries q consecutive points
-    for rule in (r_neg, r_pos):
-        for i, sub in enumerate(rule.subtets):
-            pts = rule.points[i * q:(i + 1) * q]
-            wts = rule.weights[i * q:(i + 1) * q]
+    neg_sub, pos_sub, _ = split_cut_tet(REF_TET, phi)
+    for points, weights, subtets in ((r.vpts1, r.vw1, neg_sub),
+                                     (r.vpts2, r.vw2, pos_sub)):
+        assert weights.size == q * len(subtets)
+        for i, sub in enumerate(subtets):
+            pts = points[i * q:(i + 1) * q]
+            wts = weights[i * q:(i + 1) * q]
             for (a, b, c) in [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1),
                               (4, 0, 0), (2, 0, 2)]:
                 v0 = sub[0]
@@ -196,16 +306,16 @@ def test_mapped_rule_matches_symbolic_integrals_per_subtet():
 
 def test_interface_reference_halfplane():
     phi = REF_TET[:, 0] - 0.5
-    rule = interface_rule(REF_TET, phi)
-    assert rule.weights.sum() == pytest.approx(0.125, abs=1e-14)
-    assert np.allclose(rule.normal, [1.0, 0, 0], atol=1e-14)
-    assert np.allclose(rule.points[:, 0], 0.5, atol=1e-14)
+    r = one_cut(REF_TET, phi)
+    assert r.sw.sum() == pytest.approx(0.125, abs=1e-14)
+    assert np.allclose(r.normals[0], [1.0, 0, 0], atol=1e-14)
+    assert np.allclose(r.spts[:, 0], 0.5, atol=1e-14)
 
 
 def test_interface_quad_case_area():
     # phi = x + y - 0.5 separates vertices (0,3) from (1,2)
     phi = REF_TET[:, 0] + REF_TET[:, 1] - 0.5
-    rule = interface_rule(REF_TET, phi)
+    r = one_cut(REF_TET, phi)
     # cross-section polygon of the plane x+y=1/2: symbolic area
     import sympy as sp
     xs, zs = sp.symbols("xs zs")
@@ -214,8 +324,8 @@ def test_interface_quad_case_area():
     exact = sp.sqrt(2) * sp.integrate(
         sp.integrate(sp.Integer(1), (zs, 0, sp.Rational(1, 2))),
         (xs, 0, sp.Rational(1, 2)))
-    assert rule.weights.sum() == pytest.approx(float(exact), abs=1e-14)
-    assert np.allclose(rule.normal, [1 / np.sqrt(2), 1 / np.sqrt(2), 0],
+    assert r.sw.sum() == pytest.approx(float(exact), abs=1e-14)
+    assert np.allclose(r.normals[0], [1 / np.sqrt(2), 1 / np.sqrt(2), 0],
                        atol=1e-14)
 
 
@@ -326,3 +436,60 @@ def test_cut_fraction_bounds_derived_example():
     ci = build_cut_info(mesh, phi)
     assert ci.n_cut > 0
     assert np.all(np.abs(ci.kappa1 - 0.5) < 0.5)
+
+
+def _assert_matches_oracle(ci, ref):
+    for f in dataclasses.fields(ci):
+        got, want = getattr(ci, f.name), ref[f.name]
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        assert np.array_equal(got, want), f.name
+
+
+@functools.cache
+def _hierarchy(level):
+    return MeshHierarchy.build(level)
+
+
+def test_cut_info_matches_oracle_paper_centre():
+    mesh = _hierarchy(2).finest
+    phi = SphereLevelSet(center=X0)
+    _assert_matches_oracle(build_cut_info(mesh, phi), oracle_cut_info(mesh, phi))
+
+
+@settings(max_examples=20, deadline=None)
+@given(level=st.integers(0, 1),
+       center=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       radius=st.floats(0.3, 1.2),
+       snap=st.none() | st.tuples(st.integers(0, 10**6), st.floats(-1.0, 1.0)))
+def test_cut_info_matches_oracle(level, center, radius, snap):
+    """Random spheres, some through a vertex within the snapping tolerance:
+    every CutInfo array equals the one-element oracle's bit for bit."""
+    mesh = _hierarchy(1).levels[level]
+    if snap is not None:
+        vid, frac = snap
+        dist = np.linalg.norm(mesh.vertices[vid % mesh.n_vertices] - center)
+        radius = float(dist) + frac * SNAP_FACTOR * mesh.h
+    phi = SphereLevelSet(center=center, radius=radius)
+    ci = build_cut_info(mesh, phi)
+    ref = oracle_cut_info(mesh, phi)
+    _assert_matches_oracle(ci, ref)
+    tot = mesh.volumes[ci.cut_tets]
+    assert np.all(np.abs(ci.vol1 + ci.vol2 - tot)
+                  <= 1e-12 * np.maximum(1.0, tot))
+    assert np.all(ci.vw1 >= 0) and np.all(ci.vw2 >= 0) and np.all(ci.sw >= 0)
+    area = np.array([ci.sw[a:b].sum() for a, b in zip(ci.soff[:-1],
+                                                       ci.soff[1:])])
+    assert np.allclose(area, ref["area"], rtol=1e-12, atol=0)
+
+
+def test_volume_partition_failure_names_tet():
+    mesh = _hierarchy(0).finest
+    phi = SphereLevelSet(center=X0)
+    ci = build_cut_info(mesh, phi)
+    t = ci.cut_tets[3]
+    volumes = mesh.volumes.copy()
+    volumes[t] *= 1.0 + 1e-6
+    broken = dataclasses.replace(mesh, volumes=volumes)
+    with pytest.raises(RuntimeError, match=rf"partition tet {t} "
+                       rf"\(1 of {ci.n_cut} cut tets fail\)"):
+        build_cut_info(broken, phi)

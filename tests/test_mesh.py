@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import cutprec.mesh as mesh_module
 from cutprec.mesh import (
+    Facets,
     Mesh,
     MeshHierarchy,
+    _unique_rows,
     build_facets,
     build_initial_mesh,
     refine_uniform,
@@ -186,3 +189,85 @@ def test_conformity_all_levels():
             weights=(mesh.facets.tets >= 0).sum(axis=1))
         assert set(np.unique(counts)) <= {1.0, 2.0}
 
+
+
+def reference_unique_rows(rows, n_vertices):
+    """_unique_rows through np.unique(axis=0), without integer keys."""
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return uniq, inverse, np.argsort(inverse, kind="stable")
+
+
+def reference_facets(vertices, tets):
+    """build_facets with np.unique(axis=0) and numpy's own short-axis sums."""
+    local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    faces = np.sort(tets[:, local], axis=2).reshape(-1, 3)
+    owners = np.repeat(np.arange(tets.shape[0]), 4)
+    uniq, inv = np.unique(faces, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    nf = uniq.shape[0]
+    counts = np.bincount(inv, minlength=nf)
+    order = np.argsort(inv, kind="stable")
+    adj = np.full((nf, 2), -1, dtype=np.int64)
+    starts = np.zeros(nf + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    sorted_owners = owners[order]
+    adj[:, 0] = sorted_owners[starts[:-1]]
+    two = counts == 2
+    adj[two, 1] = sorted_owners[starts[:-1][two] + 1]
+    swap = two & (adj[:, 0] > adj[:, 1])
+    adj[swap] = adj[swap][:, ::-1]
+    p = vertices[uniq]
+    nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    nrm = np.linalg.norm(nvec, axis=1)
+    normals = nvec / nrm[:, None]
+    opp = vertices[tets[adj[:, 0]]].sum(axis=1) / 4.0
+    wrong = np.einsum("fi,fi->f", normals, p.mean(axis=1) - opp) < 0
+    normals[wrong] *= -1.0
+    edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 2] - p[:, 1]])
+    diameters = np.sqrt(np.max(np.sum(edges**2, axis=2), axis=0))
+    return Facets(vertices=uniq, tets=adj, normals=normals, areas=0.5 * nrm,
+                  diameters=diameters)
+
+
+def _arrays(hier):
+    out = {}
+    for k, mesh in enumerate(hier.levels):
+        for name in ("vertices", "tets", "lattice", "volumes", "orientations",
+                     "boundary_vertex_flags"):
+            out[k, name] = getattr(mesh, name)
+        for name in ("vertices", "tets", "normals", "areas", "diameters"):
+            out[k, "facets." + name] = getattr(mesh.facets, name)
+    for k, maps in enumerate(hier.maps):
+        for name in ("child_tets", "coarse_to_fine", "midpoint_parents"):
+            out[k, "maps." + name] = getattr(maps, name)
+    return out
+
+
+def test_integer_keys_match_unique_axis0(monkeypatch):
+    got = _arrays(MeshHierarchy.build(3, 4, BOX))
+    monkeypatch.setattr(mesh_module, "build_facets", reference_facets)
+    monkeypatch.setattr(mesh_module, "_unique_rows", reference_unique_rows)
+    want = _arrays(MeshHierarchy.build(3, 4, BOX))
+    assert got.keys() == want.keys()
+    for key, arr in want.items():
+        assert got[key].dtype == arr.dtype, key
+        assert np.array_equal(got[key], arr), key
+
+
+def test_integer_keys_reject_overflow():
+    # a level-5 hierarchy of the default grid has 129^3 vertices, and
+    # 129^9 > 2^63: its facet keys would wrap
+    nv = 129 ** 3
+    vertices = np.broadcast_to(np.zeros(3), (nv, 3))
+    with pytest.raises(ValueError, match=f"{nv} vertices overflow"):
+        build_facets(vertices, np.array([[0, 1, 2, 3]]))
+    # the largest key, n^3 - 1, is exact up to n = 2^21 and no further
+    top = np.full((1, 3), 2 ** 21 - 1)
+    uniq, inverse, order = _unique_rows(top, 2 ** 21)
+    assert np.array_equal(uniq, top) and inverse[0] == 0 == order[0]
+    with pytest.raises(ValueError, match=f"{2 ** 21 + 1} vertices overflow"):
+        _unique_rows(top, 2 ** 21 + 1)
+    with pytest.raises(ValueError, match="overflow the int64 keys of vertex "
+                       "pairs"):
+        _unique_rows(np.zeros((1, 2), dtype=np.int64), 2 ** 32)
