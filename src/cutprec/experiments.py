@@ -36,14 +36,15 @@ DENSE_MAX_LEVEL = 1
 class ManufacturedSolution:
     """Closed-form solution bundle for one study problem.
 
-    u(points, side) and grad_u(points, side) evaluate the exact solution and
-    its gradient; f(points) the volume load.  g is the boundary datum in the
+    u(points, side) evaluates the exact solution; u_and_grad(points, side)
+    returns it together with its gradient from one evaluation of the shared
+    factors; f(points) is the volume load.  g is the boundary datum in the
     shape the matching assembler expects: per-side box values for the
     interface problem, a single-argument trace for the fictitious domain.
     """
 
     u: callable
-    grad_u: callable
+    u_and_grad: callable
     f: callable
     g: callable
 
@@ -72,16 +73,17 @@ def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution
         _, p, _, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * (E - 1.0) / alphas[side]
 
-    def grad_u(pts, side):
+    def u_and_grad(pts, side):
         xh, p, gp, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return (gp * (E - 1.0)[:, None] - 2.0 * (p * E)[:, None] * xh) \
-            / alphas[side]
+        return (p * (E - 1.0) / alphas[side],
+                (gp * (E - 1.0)[:, None] - 2.0 * (p * E)[:, None] * xh)
+                / alphas[side])
 
     def f(pts):
         _, p, _, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * E * (18.0 - 4.0 * r2)
 
-    return ManufacturedSolution(u=u, grad_u=grad_u, f=f, g=u)
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f, g=u)
 
 
 def fictitious_solution(x0) -> ManufacturedSolution:
@@ -93,15 +95,15 @@ def fictitious_solution(x0) -> ManufacturedSolution:
         _, p, _, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * E
 
-    def grad_u(pts, side=1):
+    def u_and_grad(pts, side=1):
         xh, p, gp, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return E[:, None] * (gp - 2.0 * p[:, None] * xh)
+        return p * E, E[:, None] * (gp - 2.0 * p[:, None] * xh)
 
     def f(pts):
         _, p, _, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * E * (18.0 - 4.0 * r2)
 
-    return ManufacturedSolution(u=u, grad_u=grad_u, f=f,
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f,
                                 g=lambda pts: u(pts))
 
 
@@ -255,9 +257,10 @@ def _accumulate_full(mesh, grads, sel, vals, sol, side, acc):
     coords = mesh.vertices[verts]
     pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, coords)
     flat = pts.reshape(-1, 3)
-    ue = np.asarray(sol.u(flat, side)).reshape(sel.size, -1)
+    ue, ge = sol.u_and_grad(flat, side)
+    ue = ue.reshape(sel.size, -1)
+    ge = ge.reshape(sel.size, -1, 3)
     uh = np.einsum("qi,mi->mq", TET_RULE_LAM, vals[verts])
-    ge = np.asarray(sol.grad_u(flat, side)).reshape(sel.size, -1, 3)
     gh = np.einsum("mix,mi->mx", grads[sel], vals[verts])
     w = mesh.volumes[sel, None] * TET_RULE_W[None, :]
     acc[0] += float(np.sum(w * (ue - uh) ** 2))
@@ -280,9 +283,8 @@ def _accumulate_cut(mesh, grads, cutinfo, vals, sol, side, acc):
     lam[:, 0] += 1.0
     nodal = vals[mesh.tets[tets]]
     uh = np.einsum("pi,pi->p", lam, nodal)
-    ue = np.asarray(sol.u(pts, side))
+    ue, ge = sol.u_and_grad(pts, side)
     gh = np.einsum("pix,pi->px", G, nodal)
-    ge = np.asarray(sol.grad_u(pts, side))
     acc[0] += float(w @ (ue - uh) ** 2)
     diff = ge - gh
     acc[1] += float(w @ np.einsum("px,px->p", diff, diff))

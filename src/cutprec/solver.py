@@ -9,12 +9,13 @@ solver studies, and eigenvalue/condition diagnostics (dense or Lanczos).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .mesh import MeshHierarchy
 from .space import FICTITIOUS
@@ -43,8 +44,6 @@ class SolveReport:
     seconds: float
     level: int | None = None
     delta: float | None = None
-    kappa: float | None = None
-    params: dict = field(default_factory=dict)
 
 
 class IdentityPreconditioner:
@@ -69,6 +68,42 @@ class DirectSolve:
         return self._lu.solve(r)
 
 
+class _TriangularSolve:
+    """x = T^{-1} b for a sparse triangular matrix T in CSR format.
+
+    Runs the SuperLU substitution behind scipy's sparse triangular solver
+    on the factors that solver would prepare, so the results agree with it
+    bit for bit.  The preparation (transpose, inverse-diagonal scaling,
+    duplicate summing, unit partner factor, index casts), which scipy
+    repeats on every call, is done here once.
+    """
+
+    def __init__(self, T: sp.csr_matrix, lower: bool):
+        A = T.T  # CSC storage of T^T; SuperLU solves with trans "T"
+        self._invdiag = 1 / A.diagonal()
+        A = (A.T @ sp.diags_array(self._invdiag)).T
+        A.sum_duplicates()
+        n = A.shape[0]
+        if lower:  # T^T is upper triangular
+            L = sp.eye_array(n, format="csc")
+            U = A
+            U.setdiag(0)
+        else:
+            L = A
+            U = sp.csc_array((n, n))
+        self._factors = tuple(
+            arg for F in (L, U)
+            for arg in (n, F.nnz, F.data, np.asarray(F.indices, np.intc),
+                        np.asarray(F.indptr, np.intc)))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = _superlu.gstrs("T", *self._factors,
+                                 np.array(b, dtype=float))
+        if info:
+            raise np.linalg.LinAlgError("A is singular.")
+        return x * self._invdiag
+
+
 class SymmetricGaussSeidel:
     """Symmetric Gauss-Seidel sweeps in natural dof order.
 
@@ -87,14 +122,13 @@ class SymmetricGaussSeidel:
         if np.any(d == 0.0):
             raise ValueError("zero diagonal entry")
         self._d = d
-        self._lower = sp.tril(csr).tocsr()
-        self._upper = sp.triu(csr).tocsr()
+        self._forward = _TriangularSolve(sp.tril(csr).tocsr(), lower=True)
+        self._backward = _TriangularSolve(sp.triu(csr).tocsr(), lower=False)
         self._M = csr
         self.sweeps = int(sweeps)
 
     def _sweep(self, r: np.ndarray) -> np.ndarray:
-        y = spla.spsolve_triangular(self._lower, r, lower=True)
-        return spla.spsolve_triangular(self._upper, self._d * y, lower=False)
+        return self._backward.solve(self._d * self._forward.solve(r))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         x = self._sweep(r)
@@ -222,10 +256,6 @@ class GeometricMultigrid:
         self._smoothers = [SymmetricGaussSeidel(A) for A in self.operators[1:]]
         self._coarse = DirectSolve(self.operators[0])
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.operators)
-
     def _vcycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == 0:
             return self._coarse.apply(b)
@@ -238,19 +268,11 @@ class GeometricMultigrid:
         return x
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        top = self.n_levels - 1
+        top = len(self.operators) - 1
         x = self._vcycle(top, r)
         for _ in range(self.cycles - 1):
             x += self._vcycle(top, r - self.operators[-1] @ x)
         return x
-
-
-def build_mg_hierarchy(A_fine: sp.spmatrix, hierarchy: MeshHierarchy,
-                       active_sets, cycles: int = 3) -> GeometricMultigrid:
-    """Multigrid operator for the fine matrix on the given vertex sets."""
-    return GeometricMultigrid(A_fine, build_prolongations(hierarchy,
-                                                          active_sets),
-                              cycles=cycles)
 
 
 class BlockPreconditioner:
@@ -303,7 +325,8 @@ def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
     if hierarchy is None or active_sets is None:
         raise ValueError("multigrid preconditioner needs the mesh hierarchy "
                          "and active dof sets")
-    mg = build_mg_hierarchy(tsys.A0, hierarchy, active_sets,
+    mg = GeometricMultigrid(tsys.A0, build_prolongations(hierarchy,
+                                                         active_sets),
                             cycles=settings.mg_cycles)
     return BlockPreconditioner(kind, mg, strip, n0)
 

@@ -62,8 +62,10 @@ def test_interface_conditions_on_sphere():
     normals = pts - X0
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     jump_u = sol.u(pts, 1) - sol.u(pts, 2)
-    flux1 = ALPHA1 * np.einsum("px,px->p", sol.grad_u(pts, 1), normals)
-    flux2 = ALPHA2 * np.einsum("px,px->p", sol.grad_u(pts, 2), normals)
+    flux1 = ALPHA1 * np.einsum("px,px->p", sol.u_and_grad(pts, 1)[1],
+                               normals)
+    flux2 = ALPHA2 * np.einsum("px,px->p", sol.u_and_grad(pts, 2)[1],
+                               normals)
     assert np.max(np.abs(jump_u)) <= 1e-12
     assert np.max(np.abs(flux1 - flux2)) <= 1e-12
 
@@ -76,8 +78,10 @@ def test_interface_solution_matches_symbolic(symbolic_bundle):
     for side in (1, 2):
         uref, gref, lref = symbolic_bundle[side]
         assert np.allclose(sol.u(pts, side), uref(*cols), atol=1e-12)
+        u, grad = sol.u_and_grad(pts, side)
+        assert np.array_equal(u, sol.u(pts, side))
         gr = np.stack(np.broadcast_arrays(*gref(*cols)), axis=1)
-        assert np.allclose(sol.grad_u(pts, side), gr, atol=1e-12)
+        assert np.allclose(grad, gr, atol=1e-12)
         # the load is side independent: f = -alpha_i lap(u_i) on both sides
         alpha = ALPHA1 if side == 1 else ALPHA2
         assert np.allclose(sol.f(pts), -alpha * lref(*cols), atol=1e-10)
@@ -90,8 +94,10 @@ def test_fd_solution_matches_symbolic(symbolic_bundle):
     pts = X0 + rng.uniform(-1.1, 1.1, size=(60, 3))
     cols = (pts[:, 0], pts[:, 1], pts[:, 2])
     assert np.allclose(sol.u(pts), uref(*cols), atol=1e-12)
+    u, grad = sol.u_and_grad(pts)
+    assert np.array_equal(u, sol.u(pts))
     gr = np.stack(np.broadcast_arrays(*gref(*cols)), axis=1)
-    assert np.allclose(sol.grad_u(pts), gr, atol=1e-12)
+    assert np.allclose(grad, gr, atol=1e-12)
     assert np.allclose(sol.f(pts), -lref(*cols), atol=1e-10)
     assert np.allclose(sol.g(pts), sol.u(pts), atol=1e-14)
 
@@ -102,11 +108,11 @@ def affine_solution(problem):
     def u(pts, side=1):
         return pts @ c + 0.5
 
-    def grad_u(pts, side=1):
-        return np.broadcast_to(c, (pts.shape[0], 3)).copy()
+    def u_and_grad(pts, side=1):
+        return u(pts), np.broadcast_to(c, (pts.shape[0], 3)).copy()
 
     g = u if problem == INTERFACE else (lambda pts: u(pts))
-    return ManufacturedSolution(u=u, grad_u=grad_u,
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad,
                                 f=lambda pts: np.zeros(pts.shape[0]), g=g)
 
 

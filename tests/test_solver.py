@@ -7,6 +7,7 @@ the mesh-based cases run on levels 0-2 where direct solves are cheap.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from types import SimpleNamespace
 
 from cutprec.assembly import (ProblemCoefficients, assemble_interface,
@@ -17,8 +18,8 @@ from cutprec.space import INTERFACE, build_dof_layout, build_index_sets
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
                             GeometricMultigrid, IdentityPreconditioner,
                             PreconditionerSettings, SymmetricGaussSeidel,
-                            build_mg_hierarchy, build_prolongations,
-                            estimate_condition, make_preconditioner, pcg)
+                            build_prolongations, estimate_condition,
+                            make_preconditioner, pcg)
 
 X0 = np.array([0.001, 0.002, 0.003])
 
@@ -208,6 +209,79 @@ def test_sgs_multisweep_composition():
     assert np.allclose(two.apply(r), expected, rtol=0, atol=1e-13)
 
 
+def oracle_sweep(self, r):
+    """One SymmetricGaussSeidel sweep as two scipy triangular solves, each
+    of which prepares its factor again on every call."""
+    lower = sp.tril(self._M).tocsr()
+    upper = sp.triu(self._M).tocsr()
+    y = spla.spsolve_triangular(lower, r, lower=True)
+    return spla.spsolve_triangular(upper, self._d * y, lower=False)
+
+
+def oracle_apply(smoother, r):
+    x = oracle_sweep(smoother, r)
+    for _ in range(smoother.sweeps - 1):
+        x += oracle_sweep(smoother, r - smoother._M @ x)
+    return x
+
+
+def noncanonical_spd(n, seed):
+    """SPD CSR matrix whose rows hold every entry twice, split in two
+    parts, in shuffled column order."""
+    A = random_spd(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
+        part = rng.uniform(0.2, 0.8, size=vals.size)
+        order = rng.permutation(2 * cols.size)
+        indices.append(np.concatenate([cols, cols])[order])
+        data.append(np.concatenate([part * vals, (1 - part) * vals])[order])
+        indptr.append(indptr[-1] + 2 * cols.size)
+    M = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                       np.array(indptr)), shape=(n, n))
+    assert not M.has_sorted_indices and not M.has_canonical_format
+    return M
+
+
+@pytest.mark.parametrize("case", ["Ahat", "A0", "A1", "noncanonical"])
+def test_sgs_matches_triangular_solve_oracle_bitwise(case, interface_systems):
+    if case == "noncanonical":
+        M = noncanonical_spd(60, seed=20)
+    else:
+        M = getattr(interface_systems[1], case)
+    r = np.random.default_rng(21).standard_normal(M.shape[0])
+    for sweeps in (1, 2, 3):
+        smoother = SymmetricGaussSeidel(M, sweeps=sweeps)
+        assert np.array_equal(smoother.apply(r), oracle_apply(smoother, r)), \
+            (case, sweeps)
+
+
+def test_pcg_matches_triangular_solve_oracle_bitwise(hierarchy2,
+                                                     interface_systems,
+                                                     monkeypatch):
+    tsys = interface_systems[1]
+    sub = hierarchy2.truncated(1)
+    active = [np.flatnonzero(~m.boundary_vertex_flags) for m in sub.levels]
+
+    def solve_all():
+        out = {}
+        for kind in PRECONDITIONER_KINDS:
+            P = make_preconditioner(kind, tsys, hierarchy=sub,
+                                    active_sets=active)
+            out[kind] = pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6)
+        return out
+
+    fast = solve_all()
+    monkeypatch.setattr(SymmetricGaussSeidel, "_sweep", oracle_sweep)
+    ref = solve_all()
+    for kind in PRECONDITIONER_KINDS:
+        (x, rep), (x_ref, rep_ref) = fast[kind], ref[kind]
+        assert np.array_equal(x, x_ref), kind
+        assert np.array_equal(rep.residuals, rep_ref.residuals), kind
+
+
 def test_sgs_rejects_bad_input():
     with pytest.raises(ValueError, match="diagonal"):
         SymmetricGaussSeidel(sp.csr_matrix(np.array([[0.0, 1.0],
@@ -246,7 +320,7 @@ def test_galerkin_coarse_operator_matches_reassembly(hierarchy2,
     Laplacian equals the coarse-assembled one exactly."""
     mats, active = uncut_laplacians
     sub = hierarchy2.truncated(1)
-    mg = build_mg_hierarchy(mats[1], sub, active[:2])
+    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[:2]))
     coarse = mg.operators[0].toarray()
     ref = mats[0].toarray()
     assert np.max(np.abs(coarse - ref)) <= 1e-10
@@ -255,7 +329,8 @@ def test_galerkin_coarse_operator_matches_reassembly(hierarchy2,
 def test_mg_vcycle_reduces_error(hierarchy2, uncut_laplacians):
     mats, active = uncut_laplacians
     A = mats[2]
-    mg = build_mg_hierarchy(A, hierarchy2, active, cycles=1)
+    mg = GeometricMultigrid(A, build_prolongations(hierarchy2, active),
+                            cycles=1)
     rng = np.random.default_rng(13)
     exact = rng.standard_normal(A.shape[0])
     x = mg.apply(A @ exact)
@@ -267,7 +342,7 @@ def test_mg_vcycle_reduces_error(hierarchy2, uncut_laplacians):
 def test_mg_without_coarse_levels_is_direct():
     A = random_spd(20, seed=14)
     mg = GeometricMultigrid(A, [], cycles=3)
-    assert mg.n_levels == 1
+    assert len(mg.operators) == 1
     r = np.random.default_rng(15).standard_normal(20)
     assert np.allclose(mg.apply(r), DirectSolve(A).apply(r),
                        rtol=0, atol=1e-10)
@@ -276,7 +351,8 @@ def test_mg_without_coarse_levels_is_direct():
 def test_mg_application_is_spd(hierarchy2, uncut_laplacians):
     mats, active = uncut_laplacians
     sub = hierarchy2.truncated(1)
-    mg = build_mg_hierarchy(mats[1], sub, active[:2], cycles=3)
+    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[:2]),
+                            cycles=3)
     n = mats[1].shape[0]
     Z = np.column_stack([mg.apply(col) for col in np.eye(n)])
     assert np.max(np.abs(Z - Z.T)) <= 1e-10 * np.max(np.abs(Z))
