@@ -19,46 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
     ghost_facets, p1_gradients
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
-AVERAGE_MAX = "max"
-AVERAGE_MEAN = "mean"
-AVERAGE_HARMONIC = "harmonic"
-
-LENGTH_GLOBAL = "global"
-LENGTH_FACET = "facet"
-LENGTH_ELEMENT = "element"
-
 
 @dataclass(frozen=True)
 class ProblemCoefficients:
     """Diffusion pair and stabilization weights.
 
-    alpha_bar_rule picks the averaging of (alpha1, alpha2) used in the
-    interface penalty scaling; the fictitious-domain form ignores the
-    diffusion pair (unit coefficient).  The two length rules select the
-    scale dividing the boundary penalty (nitsche_length_rule: global mesh
-    size or element diameter) and the scale multiplying each ghost facet
-    (ghost_length_rule: global mesh size or facet diameter).  On uniform
-    meshes the choices are equivalent up to constants, but the constants
-    feed the effective penalty, so each form carries its own default:
-    nitsche_length_rule None resolves to the element diameter in the
-    interface form and to the global mesh size in the fictitious-domain
-    form.
+    The interface penalty is scaled by the harmonic mean alpha_bar of
+    (alpha1, alpha2); the fictitious-domain form ignores the diffusion pair
+    (unit coefficient).  The boundary penalty is divided by the element
+    diameter in the interface form and by the global mesh size in the
+    fictitious-domain form; each ghost facet is scaled by the global mesh
+    size.
     """
 
     alpha1: float = 1.0
     alpha2: float = 10.0
     gamma: float = 10.0
     beta: float = 0.1
-    alpha_bar_rule: str = AVERAGE_HARMONIC
-    nitsche_length_rule: str | None = None
-    ghost_length_rule: str = LENGTH_GLOBAL
 
     def __post_init__(self):
         if self.alpha1 <= 0 or self.alpha2 <= 0:
@@ -67,24 +50,10 @@ class ProblemCoefficients:
             raise ValueError("penalty parameter gamma must be positive")
         if self.beta < 0:
             raise ValueError("ghost penalty weight beta must be nonnegative")
-        if self.alpha_bar_rule not in (AVERAGE_MAX, AVERAGE_MEAN,
-                                       AVERAGE_HARMONIC):
-            raise ValueError(f"unknown averaging rule {self.alpha_bar_rule!r}")
-        if self.nitsche_length_rule not in (None, LENGTH_GLOBAL,
-                                            LENGTH_ELEMENT):
-            raise ValueError(
-                f"unknown penalty length rule {self.nitsche_length_rule!r}")
-        if self.ghost_length_rule not in (LENGTH_GLOBAL, LENGTH_FACET):
-            raise ValueError(
-                f"unknown ghost length rule {self.ghost_length_rule!r}")
 
     @property
     def alpha_bar(self) -> float:
-        if self.alpha_bar_rule == AVERAGE_MAX:
-            return max(self.alpha1, self.alpha2)
-        if self.alpha_bar_rule == AVERAGE_HARMONIC:
-            return 2.0 * self.alpha1 * self.alpha2 / (self.alpha1 + self.alpha2)
-        return 0.5 * (self.alpha1 + self.alpha2)
+        return 2.0 * self.alpha1 * self.alpha2 / (self.alpha1 + self.alpha2)
 
 
 @dataclass(frozen=True)
@@ -211,13 +180,6 @@ def _add_volume(acc, mesh, grads, meas, alpha, vdof, liftvals):
     acc.add_local(local, vdof[verts], lift)
 
 
-def _nitsche_lengths(mesh, diam, tids, coeffs, default):
-    rule = coeffs.nitsche_length_rule or default
-    if rule == LENGTH_GLOBAL:
-        return np.full(tids.shape[0], mesh.h)
-    return diam[tids]
-
-
 def _surface_batches(mesh, cutinfo, grads):
     """Group cut elements by interface point count; yield per-group geometry.
 
@@ -250,9 +212,7 @@ def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
     n = fac.normals[fids]
     d = np.concatenate([np.einsum("mix,mx->mi", grads[t0], n),
                         -np.einsum("mix,mx->mi", grads[t1], n)], axis=1)
-    length = (mesh.h if coeffs.ghost_length_rule == LENGTH_GLOBAL
-              else fac.diameters[fids])
-    scale = coeffs.beta * length * fac.areas[fids]
+    scale = coeffs.beta * mesh.h * fac.areas[fids]
     local = scale[:, None, None] * d[:, :, None] * d[:, None, :]
     verts = np.concatenate([mesh.tets[t0], mesh.tets[t1]], axis=1)
     lift = None if liftvals is None else liftvals[verts]
@@ -316,9 +276,8 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
         mom = np.einsum("mp,mpi->mi", w, jump)
         consistency = flux[:, :, None] * mom[:, None, :]
         local = consistency + consistency.transpose(0, 2, 1)
-        local += (pen / _nitsche_lengths(mesh, diam, tids, coeffs,
-                                         LENGTH_ELEMENT))[
-            :, None, None] * np.einsum("mp,mpi,mpj->mij", w, jump, jump)
+        local += (pen / diam[tids])[:, None, None] * np.einsum(
+            "mp,mpi,mpj->mij", w, jump, jump)
         verts = mesh.tets[tids]
         dofs = np.concatenate([layout.v1_dof[verts], layout.v2_dof[verts]],
                               axis=1)
@@ -350,20 +309,17 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
         raise ValueError("layout does not describe the fictitious domain")
     _check_cut_rules(mesh, cutinfo)
     grads = all_gradients(mesh)
-    diam = element_diameters(mesh)
     acc = _SystemAccumulator(layout.dim)
 
     meas1, _ = _side_measures(mesh, cutinfo)
     _add_volume(acc, mesh, grads, meas1, 1.0, layout.v1_dof, None)
 
+    penfac = coeffs.gamma / mesh.h
     for C, tids, w, lam, gn in _surface_batches(mesh, cutinfo, grads):
         mom = np.einsum("mp,mpi->mi", w, lam)
         consistency = -mom[:, :, None] * gn[:, None, :]
         local = consistency + consistency.transpose(0, 2, 1)
-        penfac = coeffs.gamma / _nitsche_lengths(mesh, diam, tids, coeffs,
-                                                 LENGTH_GLOBAL)
-        local += penfac[:, None, None] * np.einsum("mp,mpi,mpj->mij",
-                                                   w, lam, lam)
+        local += penfac * np.einsum("mp,mpi,mpj->mij", w, lam, lam)
         verts = mesh.tets[tids]
         dofs = layout.v1_dof[verts]
         if np.any(dofs < 0):
@@ -375,7 +331,7 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                         dtype=float).reshape(w.shape)
         gw = np.einsum("mp,mp->m", w, gv)
         bloc = -gw[:, None] * gn
-        bloc += penfac[:, None] * np.einsum("mp,mp,mpi->mi", w, gv, lam)
+        bloc += penfac * np.einsum("mp,mp,mpi->mi", w, gv, lam)
         acc.add_load(bloc, dofs)
 
     _add_ghost(acc, mesh, cutinfo, grads, 1, coeffs, layout.v1_dof,
@@ -441,14 +397,3 @@ def transform(A: sp.csr_matrix, b: np.ndarray, L: sp.csr_matrix,
     return TransformedSystem(A=A, b=b, L=L, Ahat=Ahat, bhat=bhat,
                              A0=A0, A1=A1, D1=D1, layout=layout)
 
-
-def export_matrix_market(tsys: TransformedSystem, directory):
-    """Debug dump of the assembled operators in Matrix Market format."""
-    import pathlib
-
-    out = pathlib.Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, M in (("A", tsys.A), ("L", tsys.L), ("Ahat", tsys.Ahat),
-                    ("A0", tsys.A0), ("A1", tsys.A1)):
-        mmwrite(str(out / name), M)
-    return sorted(p.name for p in out.glob("*.mtx"))

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import scipy.sparse as sp
 
-from .assembly import export_matrix_market
-from .experiments import (COND_METHODS, ExperimentConfig, build_system,
-                          cond_method, run_study, write_tables)
+from .experiments import (ExperimentConfig, build_system, cond_method,
+                          run_study, write_tables)
 from .solver import PRECONDITIONER_KINDS, estimate_condition
 from .space import FICTITIOUS, INTERFACE
 
@@ -41,23 +40,10 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha2", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--alpha-bar-rule", dest="alpha_bar_rule",
-                   choices=("max", "mean", "harmonic"))
-    p.add_argument("--nitsche-length-rule", dest="nitsche_length_rule",
-                   choices=("global", "element"),
-                   help="force the boundary penalty length scale "
-                        "(default: element diameter for the interface "
-                        "form, global mesh size for the fictitious one)")
-    p.add_argument("--ghost-length-rule", dest="ghost_length_rule",
-                   choices=("global", "facet"))
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--preconditioners", nargs="+",
                    choices=PRECONDITIONER_KINDS, metavar="KIND")
-    p.add_argument("--mg-cycles", type=int, dest="mg_cycles")
-    p.add_argument("--strip-sweeps", type=int, dest="strip_sweeps")
-    p.add_argument("--cond-method", dest="cond_method",
-                   choices=COND_METHODS)
     p.add_argument("--output-dir", dest="output_dir")
 
 
@@ -92,7 +78,7 @@ def _cmd_cond(args) -> int:
     config = _config_from_args(args)
     level = config.max_level if args.level is None else args.level
     tsys = build_system(config, level=level)
-    method = cond_method(config, level)
+    method = cond_method(level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
     print(f"problem={config.problem} level={level} N0={n0} N1={n1} "
           f"method={method}")
@@ -106,18 +92,6 @@ def _cmd_cond(args) -> int:
         print(f"{label:<20}= {est.kappa:.4e}  "
               f"[{est.lam_min:.4e}, {est.lam_max:.4e}]  "
               f"steps={est.iterations}{mark}")
-    return 0
-
-
-def _cmd_export_matrices(args) -> int:
-    config = _config_from_args(args)
-    level = config.max_level if args.level is None else args.level
-    tsys = build_system(config, level=level)
-    directory = args.directory or \
-        str(Path(config.output_dir) / f"matrices_{config.problem}_l{level}")
-    names = export_matrix_market(tsys, directory)
-    for name in names:
-        print(f"wrote {Path(directory) / name}")
     return 0
 
 
@@ -139,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, help="refinement level "
                    "(default: configured max level)")
     p.set_defaults(func=_cmd_cond)
-
-    p = sub.add_parser("export-matrices",
-                       help="dump assembled operators in Matrix Market form")
-    _add_config_options(p)
-    p.add_argument("--level", type=int)
-    p.add_argument("--directory", help="target directory "
-                   "(default under the configured output dir)")
-    p.set_defaults(func=_cmd_export_matrices)
     return parser
 
 

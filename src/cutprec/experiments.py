@@ -9,26 +9,22 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import (AVERAGE_HARMONIC, LENGTH_GLOBAL, ProblemCoefficients,
-                       TransformedSystem, all_gradients, assemble_fd,
-                       assemble_interface, build_L, dirichlet_values,
-                       transform)
+from .assembly import (ProblemCoefficients, TransformedSystem, all_gradients,
+                       assemble_fd, assemble_interface, build_L,
+                       dirichlet_values, transform)
 from .geometry import (NEG, POS, SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
                        build_cut_info, classify)
 from .mesh import MeshHierarchy
-from .solver import (PRECONDITIONER_KINDS, PreconditionerSettings,
-                     estimate_condition, make_preconditioner, pcg)
+from .solver import (PRECONDITIONER_KINDS, estimate_condition,
+                     make_preconditioner, pcg)
 from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
 
-COND_PER_LEVEL = "per-level"
-COND_METHODS = (COND_PER_LEVEL, "auto", "dense", "lanczos")
-
-# dense eigensolves below this level, Lanczos above (per-level policy)
+# dense eigensolves up to this level, Lanczos above
 DENSE_MAX_LEVEL = 1
 
 
@@ -52,11 +48,15 @@ class ManufacturedSolution:
 def _cubic_parts(pts, x0):
     xh = pts - x0
     p = 3.0 * xh[:, 0] ** 2 * xh[:, 1] - xh[:, 1] ** 3
-    gp = np.stack([6.0 * xh[:, 0] * xh[:, 1],
-                   3.0 * xh[:, 0] ** 2 - 3.0 * xh[:, 1] ** 2,
-                   np.zeros(pts.shape[0])], axis=1)
     r2 = np.sum(xh * xh, axis=1)
-    return xh, p, gp, r2, np.exp(1.0 - r2)
+    return xh, p, r2, np.exp(1.0 - r2)
+
+
+def _cubic_gradient(xh):
+    """Gradient of the harmonic cubic factor 3 xh_1^2 xh_2 - xh_2^3."""
+    return np.stack([6.0 * xh[:, 0] * xh[:, 1],
+                     3.0 * xh[:, 0] ** 2 - 3.0 * xh[:, 1] ** 2,
+                     np.zeros(xh.shape[0])], axis=1)
 
 
 def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution:
@@ -70,17 +70,17 @@ def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution
     alphas = {1: alpha1, 2: alpha2}
 
     def u(pts, side):
-        _, p, _, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        _, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * (E - 1.0) / alphas[side]
 
     def u_and_grad(pts, side):
-        xh, p, gp, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        xh, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return (p * (E - 1.0) / alphas[side],
-                (gp * (E - 1.0)[:, None] - 2.0 * (p * E)[:, None] * xh)
-                / alphas[side])
+                (_cubic_gradient(xh) * (E - 1.0)[:, None]
+                 - 2.0 * (p * E)[:, None] * xh) / alphas[side])
 
     def f(pts):
-        _, p, _, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        _, p, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * E * (18.0 - 4.0 * r2)
 
     return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f, g=u)
@@ -92,15 +92,16 @@ def fictitious_solution(x0) -> ManufacturedSolution:
     x0 = np.asarray(x0, dtype=float)
 
     def u(pts, side=1):
-        _, p, _, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        _, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * E
 
     def u_and_grad(pts, side=1):
-        xh, p, gp, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return p * E, E[:, None] * (gp - 2.0 * p[:, None] * xh)
+        xh, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        return p * E, E[:, None] * (_cubic_gradient(xh)
+                                    - 2.0 * p[:, None] * xh)
 
     def f(pts):
-        _, p, _, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        _, p, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
         return p * E * (18.0 - 4.0 * r2)
 
     return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f,
@@ -120,15 +121,9 @@ class ExperimentConfig:
     alpha2: float = 10.0
     gamma: float = 10.0
     beta: float = 0.1
-    alpha_bar_rule: str = AVERAGE_HARMONIC
-    nitsche_length_rule: str | None = None
-    ghost_length_rule: str = LENGTH_GLOBAL
     tol: float = 1e-6
     max_iter: int = 1000
     preconditioners: tuple = PRECONDITIONER_KINDS
-    mg_cycles: int = 3
-    strip_sweeps: int | None = None
-    cond_method: str = COND_PER_LEVEL
     output_dir: str = "results"
 
     def __post_init__(self):
@@ -145,21 +140,13 @@ class ExperimentConfig:
         unknown = set(self.preconditioners) - set(PRECONDITIONER_KINDS)
         if unknown:
             raise ValueError(f"unknown preconditioners {sorted(unknown)}")
-        if self.cond_method not in COND_METHODS:
-            raise ValueError(f"unknown condition method {self.cond_method!r}")
         # delegate coefficient validation
         self.coefficients()
 
     def coefficients(self) -> ProblemCoefficients:
         return ProblemCoefficients(
             alpha1=self.alpha1, alpha2=self.alpha2, gamma=self.gamma,
-            beta=self.beta, alpha_bar_rule=self.alpha_bar_rule,
-            nitsche_length_rule=self.nitsche_length_rule,
-            ghost_length_rule=self.ghost_length_rule)
-
-    def settings(self) -> PreconditionerSettings:
-        return PreconditionerSettings(mg_cycles=self.mg_cycles,
-                                      strip_sweeps=self.strip_sweeps)
+            beta=self.beta)
 
     def to_file(self, path):
         data = {k: list(v) if isinstance(v, tuple) else v
@@ -189,7 +176,7 @@ class ErrorNorms:
 
 @dataclass
 class LevelResult:
-    """One study row plus the transformed system it came from.
+    """One study row.
 
     kappa2_converged is False when kappa2 is a Lanczos lower bound, and
     kappa2_steps counts the Lanczos steps (0 for a dense estimate); the
@@ -206,7 +193,6 @@ class LevelResult:
     kappa2_steps: int
     iterations: dict
     delta: float | None = None
-    tsys: TransformedSystem = field(repr=False, default=None)
 
 
 @dataclass
@@ -321,11 +307,10 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
                       h1_full=float(np.sqrt(acc[0] + acc[1])))
 
 
-def cond_method(config: ExperimentConfig, level: int) -> str:
-    """Condition estimate method for one level under the configured policy."""
-    if config.cond_method == COND_PER_LEVEL:
-        return "dense" if level <= DENSE_MAX_LEVEL else "lanczos"
-    return config.cond_method
+def cond_method(level: int) -> str:
+    """Condition estimate method for one level: dense eigenvalues up to
+    DENSE_MAX_LEVEL, Lanczos above."""
+    return "dense" if level <= DENSE_MAX_LEVEL else "lanczos"
 
 
 def _assemble(mesh, x0, config: ExperimentConfig):
@@ -385,24 +370,22 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
     for kind in config.preconditioners:
         with _located(f"{kind} set-up", level, delta):
             P = make_preconditioner(kind, tsys, hierarchy=hierarchy,
-                                    active_sets=active,
-                                    settings=config.settings())
+                                    active_sets=active)
         with _located(f"{kind} solve", level, delta):
             xhat, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=config.tol,
-                            max_iter=config.max_iter, level=level,
-                            delta=delta)
+                            max_iter=config.max_iter)
         iterations[kind] = rep.iterations
         if first_solution is None:
             first_solution = xhat
 
     with _located("condition estimate", level, delta):
-        est = estimate_condition(tsys.Ahat, method=cond_method(config, level))
+        est = estimate_condition(tsys.Ahat, method=cond_method(level))
     errors = error_norms(mesh, cutinfo, layout, tsys.L @ first_solution, sol)
     return LevelResult(level=level, h=mesh.h, N0=layout.N0, N1=layout.N1,
                        errors=errors, kappa2=est.kappa,
                        kappa2_converged=est.converged,
                        kappa2_steps=est.iterations,
-                       iterations=iterations, delta=delta, tsys=tsys)
+                       iterations=iterations, delta=delta)
 
 
 def build_system(config: ExperimentConfig, level: int = None

@@ -34,14 +34,13 @@ class Facets:
     tets: (nf, 2) adjacent tet ids; tets[:, 1] == -1 on the boundary.
     normals: (nf, 3) unit normals, oriented from tets[:, 0] towards
         tets[:, 1] (outward on the boundary).
-    areas, diameters: (nf,) triangle areas and longest-edge lengths.
+    areas: (nf,) triangle areas.
     """
 
     vertices: np.ndarray
     tets: np.ndarray
     normals: np.ndarray
     areas: np.ndarray
-    diameters: np.ndarray
 
     @property
     def n_facets(self) -> int:
@@ -80,8 +79,7 @@ class Mesh:
                     self.lattice, self.box, self.volumes, self.orientations):
             arr.setflags(write=False)
         for arr in (self.facets.vertices, self.facets.tets,
-                    self.facets.normals, self.facets.areas,
-                    self.facets.diameters):
+                    self.facets.normals, self.facets.areas):
             arr.setflags(write=False)
 
     @property
@@ -197,11 +195,7 @@ def build_facets(mesh_or_vertices, tets: np.ndarray | None = None) -> Facets:
     centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
     wrong = np.einsum("fi,fi->f", normals, centroid - opp) < 0
     normals[wrong] *= -1.0
-    sq = [e[:, 0] ** 2 + e[:, 1] ** 2 + e[:, 2] ** 2
-          for e in (e1, e2, p[:, 2] - p[:, 1])]
-    diameters = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
-    return Facets(vertices=uniq, tets=adj, normals=normals, areas=areas,
-                  diameters=diameters)
+    return Facets(vertices=uniq, tets=adj, normals=normals, areas=areas)
 
 
 def _canonical_tet_order(lattice: np.ndarray, tets: np.ndarray) -> np.ndarray:

@@ -42,15 +42,6 @@ class SolveReport:
     preconditioner: str
     tol: float
     seconds: float
-    level: int | None = None
-    delta: float | None = None
-
-
-class IdentityPreconditioner:
-    kind = "Identity"
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r.copy()
 
 
 class DirectSolve:
@@ -137,9 +128,8 @@ class SymmetricGaussSeidel:
         return x
 
 
-def pcg(A: sp.spmatrix, b: np.ndarray, precond=None, tol: float = 1e-6,
-        max_iter: int = 1000, level: int | None = None,
-        delta: float | None = None):
+def pcg(A: sp.spmatrix, b: np.ndarray, precond, tol: float = 1e-6,
+        max_iter: int = 1000):
     """Preconditioned conjugate gradients started from zero.
 
     Stops when the Euclidean norm of the preconditioned residual z_k =
@@ -148,8 +138,6 @@ def pcg(A: sp.spmatrix, b: np.ndarray, precond=None, tol: float = 1e-6,
     extra.  Raises if the preconditioner loses positive definiteness or the
     budget is exhausted.
     """
-    if precond is None:
-        precond = IdentityPreconditioner()
     start = time.perf_counter()
     x = np.zeros_like(b, dtype=float)
     r = np.asarray(b, dtype=float).copy()
@@ -162,8 +150,7 @@ def pcg(A: sp.spmatrix, b: np.ndarray, precond=None, tol: float = 1e-6,
         return SolveReport(iterations=k, residuals=np.array(history),
                            converged=converged,
                            preconditioner=getattr(precond, "kind", "custom"),
-                           tol=tol, seconds=time.perf_counter() - start,
-                           level=level, delta=delta)
+                           tol=tol, seconds=time.perf_counter() - start)
 
     if norm0 == 0.0:
         return x, report(0, True)
@@ -291,30 +278,20 @@ class BlockPreconditioner:
         return z
 
 
-@dataclass(frozen=True)
-class PreconditionerSettings:
-    """Inner-solve settings; strip_sweeps None defers to the problem kind
-    (two sweeps for the interface studies, three for fictitious domain;
-    a single sweep leaves the strip solve too loose for the hardest cut
-    positions and costs an extra outer iteration there)."""
-
-    mg_cycles: int = 3
-    strip_sweeps: int | None = None
-
-
 def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
-                        active_sets=None,
-                        settings: PreconditionerSettings = None):
-    """Construct one of the study preconditioners for a transformed system."""
-    if settings is None:
-        settings = PreconditionerSettings()
+                        active_sets=None):
+    """Construct one of the study preconditioners for a transformed system.
+
+    The strip block takes two SGS sweeps for the interface problem and
+    three for the fictitious domain; a single sweep leaves the strip solve
+    too loose for the hardest cut positions and costs an extra outer
+    iteration there.  The multigrid block runs three V-cycles.
+    """
     if kind not in PRECONDITIONER_KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind == KIND_SGS:
         return SymmetricGaussSeidel(tsys.Ahat)
-    sweeps = settings.strip_sweeps
-    if sweeps is None:
-        sweeps = 3 if tsys.layout.problem == FICTITIOUS else 2
+    sweeps = 3 if tsys.layout.problem == FICTITIOUS else 2
     n0 = tsys.A0.shape[0]
     if kind == KIND_BLOCK_EXACT:
         return BlockPreconditioner(kind, DirectSolve(tsys.A0),
@@ -326,8 +303,7 @@ def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
         raise ValueError("multigrid preconditioner needs the mesh hierarchy "
                          "and active dof sets")
     mg = GeometricMultigrid(tsys.A0, build_prolongations(hierarchy,
-                                                         active_sets),
-                            cycles=settings.mg_cycles)
+                                                         active_sets))
     return BlockPreconditioner(kind, mg, strip, n0)
 
 
@@ -419,23 +395,18 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     return lo, hi, converged or k == n, k
 
 
-def estimate_condition(A, B=None, method: str = "auto", budget: int = None,
-                       seed: int = 0, dense_limit: int = 3000
-                       ) -> ConditionEstimate:
+def estimate_condition(A, B=None, *, method: str, budget: int = None,
+                       seed: int = 0) -> ConditionEstimate:
     """Extreme eigenvalues and condition number of A, or of the pencil
     (A, B) when B is given (i.e. of B^{-1}A with both operators SPD).
 
-    method "auto" uses a dense solve up to dense_limit unknowns and Lanczos
-    beyond; "dense"/"lanczos" force the path.  Lanczos runs the three-term
-    recurrence plus one full Gram-Schmidt pass in the B inner product, for
-    at most budget steps (default min(5n, 2000); at least 1).  A
-    non-converged Lanczos result is a lower bound on kappa and is flagged.
+    method "dense" solves the full eigenproblem; "lanczos" runs the
+    three-term recurrence plus one full Gram-Schmidt pass in the B inner
+    product, for at most budget steps (default min(5n, 2000); at least 1).
+    A non-converged Lanczos result is a lower bound on kappa and is flagged.
     """
-    if method not in ("auto", "dense", "lanczos"):
+    if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    n = A.shape[0]
-    if method == "auto":
-        method = "dense" if n <= dense_limit else "lanczos"
     if method == "dense":
         lo, hi = _dense_extremes(A, B)
         converged, steps = True, 0

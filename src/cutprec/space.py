@@ -132,12 +132,8 @@ def _validate_interface_sets(sets: IndexSets, phi: np.ndarray) -> None:
         raise ValueError("a node outside region 2 is missing from side 1")
 
 
-def build_dof_layout(sets: IndexSets, problem: str | None = None) -> DofLayout:
+def build_dof_layout(sets: IndexSets) -> DofLayout:
     """Number the side-block and split bases (sorted by vertex id per group)."""
-    if problem is None:
-        problem = sets.problem
-    if problem != sets.problem:
-        raise ValueError("problem kind does not match the index sets")
 
     def inverse(vertices: np.ndarray, offset: int = 0) -> np.ndarray:
         inv = np.full(sets.n_vertices, -1, dtype=np.int64)
@@ -146,7 +142,7 @@ def build_dof_layout(sets: IndexSets, problem: str | None = None) -> DofLayout:
 
     part1 = np.setdiff1d(sets.I1, sets.IG1)
     v1 = np.concatenate([part1, sets.IG1])
-    if problem == INTERFACE:
+    if sets.problem == INTERFACE:
         part2 = np.setdiff1d(sets.I2, sets.IG2)
         v2 = np.concatenate([part2, sets.IG2])
     else:
@@ -157,7 +153,7 @@ def build_dof_layout(sets: IndexSets, problem: str | None = None) -> DofLayout:
     if v1.size + v2.size != N0 + N1:
         raise ValueError("side-block and split dimensions disagree")
     return DofLayout(
-        problem=problem, sets=sets, N0=N0, N1=N1,
+        problem=sets.problem, sets=sets, N0=N0, N1=N1,
         v1_vertices=v1, v2_vertices=v2,
         v1_dof=inverse(v1), v2_dof=inverse(v2, offset=v1.size),
         x0_vertices=x0, x1_vertices=x1,

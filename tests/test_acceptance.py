@@ -2,9 +2,10 @@
 
 Each test covers one acceptance target at its stated tolerance and prints a
 single pass/fail line with the measured quantities.  The three study
-fixtures below are the complete level-0..3 runs; everything else reuses
-their retained systems, apart from six small level-1 systems criterion 6
-assembles, so the whole module runs in a few minutes.
+fixtures below are the complete level-0..3 runs.  Study rows keep no
+matrices, so criteria 6 and 7 assemble the systems they need with
+build_system, one at a time (no PCG), and the whole module runs in a few
+minutes.
 """
 
 from dataclasses import replace
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutprec.experiments import ExperimentConfig, build_system, run_study
+from cutprec.experiments import (ExperimentConfig, build_system,
+                                 cond_method, run_study)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
@@ -116,9 +118,7 @@ def test_criterion_5_delta_robustness(delta_sweep):
 
 
 def pencil_kappa(A, B, level):
-    # dense eigensolves through level 1, Lanczos beyond
-    return estimate_condition(A, B=B,
-                              method="dense" if level <= 1 else "lanczos")
+    return estimate_condition(A, B=B, method=cond_method(level))
 
 
 def row_name(level, delta):
@@ -152,17 +152,19 @@ def test_criterion_6_spectral_equivalence(interface_study, delta_sweep):
     # checks: there the Dirichlet box cuts the strip short (24 of the 51
     # cut-element vertices are eliminated, none at levels 1 and 2), just as
     # criterion 4 takes its ratio over col[1:].
-    studied = [(r.level, r.delta, r.tsys)
+    studied = [(r.level, r.delta)
                for r in interface_study.rows + delta_sweep.rows]
     config = delta_sweep.config
-    # the sweep's positions one level coarser, assembled only (no PCG)
-    coarse = [(1, d, build_system(replace(config, x0=(d, 2 * d, 3 * d)), 1))
-              for d in config.deltas]
-    kda = {(lvl, d): pencil_kappa(
-               t.Ahat, sp.block_diag([t.A0, t.A1], format="csr"), lvl)
-           for lvl, d, t in studied}
-    kd1 = {(lvl, d): pencil_kappa(t.A1, sp.diags(t.D1).tocsr(), lvl)
-           for lvl, d, t in studied + coarse}
+    # the studied rows, then the sweep's positions one level coarser
+    coarse = [(1, d) for d in config.deltas]
+    kda, kd1 = {}, {}
+    for lvl, d in studied + coarse:
+        x0 = config.x0 if d is None else (d, 2 * d, 3 * d)
+        t = build_system(replace(config, x0=x0), lvl)
+        if (lvl, d) in studied:
+            kda[lvl, d] = pencil_kappa(
+                t.Ahat, sp.block_diag([t.A0, t.A1], format="csr"), lvl)
+        kd1[lvl, d] = pencil_kappa(t.A1, sp.diags(t.D1).tocsr(), lvl)
     lower_bounds = [f"{name} {row_name(*key)}"
                     for name, ests in (("DA", kda), ("D1", kd1))
                     for key, e in ests.items() if not e.converged]
@@ -199,7 +201,7 @@ def test_criterion_7_oracle_equivalences(interface_study):
     parts = []
 
     # split-basis congruence, matrix free on 20 random vectors
-    tsys = interface_study.rows[1].tsys
+    tsys = build_system(interface_study.config, 1)
     rng = np.random.default_rng(7)
     rel = 0.0
     for _ in range(20):

@@ -11,7 +11,6 @@ from cutprec.assembly import (
     build_L,
     dirichlet_values,
     element_diameters,
-    export_matrix_market,
     transform,
 )
 from cutprec.geometry import SphereLevelSet, build_cut_info, p1_gradients
@@ -75,17 +74,7 @@ def test_coefficient_validation():
         ProblemCoefficients(gamma=0.0)
     with pytest.raises(ValueError):
         ProblemCoefficients(beta=-0.1)
-    with pytest.raises(ValueError):
-        ProblemCoefficients(alpha_bar_rule="median")
-    with pytest.raises(ValueError):
-        ProblemCoefficients(ghost_length_rule="local")
-    with pytest.raises(ValueError):
-        ProblemCoefficients(nitsche_length_rule="facet")
-    assert ProblemCoefficients(alpha1=1, alpha2=10,
-                               alpha_bar_rule="max").alpha_bar == 10.0
-    assert ProblemCoefficients(alpha1=1, alpha2=10,
-                               alpha_bar_rule="mean").alpha_bar == 5.5
-    # default averaging is harmonic
+    # the averaging is harmonic
     assert ProblemCoefficients(alpha1=1, alpha2=10).alpha_bar == \
         pytest.approx(20.0 / 11.0)
 
@@ -375,17 +364,3 @@ def test_dirichlet_values_layout():
     assert np.all(vals[~bnd] == 0.0)
     assert np.allclose(vals[bnd, 0], mesh.vertices[bnd, 0] + 1)
     assert np.allclose(vals[bnd, 1], mesh.vertices[bnd, 0] + 2)
-
-
-def test_export_matrix_market(tmp_path):
-    from scipy.io import mmread
-
-    mesh, ci, layout = make_problem(0)
-    coeffs = ProblemCoefficients()
-    A, b = assemble_interface(mesh, ci, layout, coeffs, zero,
-                              lambda pts, side: zero(pts))
-    tsys = transform(A, b, build_L(layout), layout)
-    names = export_matrix_market(tsys, tmp_path / "dump")
-    assert names == ["A.mtx", "A0.mtx", "A1.mtx", "Ahat.mtx", "L.mtx"]
-    back = mmread(str(tmp_path / "dump" / "A.mtx")).tocsr()
-    assert np.max(np.abs((back - tsys.A).toarray())) < 1e-15

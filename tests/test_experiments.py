@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
-from cutprec import solver
+from cutprec import experiments, solver
 from cutprec.cli import _add_config_options, main
 from cutprec.experiments import (ExperimentConfig, ManufacturedSolution,
                                  StudyResult, LevelResult, ErrorNorms,
@@ -152,7 +152,7 @@ def test_order_computation_is_log2_ratio():
 
 def test_config_roundtrip_and_validation(tmp_path):
     cfg = ExperimentConfig(max_level=2, deltas=(0.0, 0.01), gamma=100.0,
-                           beta=0.0, strip_sweeps=2)
+                           beta=0.0)
     path = tmp_path / "cfg.json"
     cfg.to_file(path)
     assert ExperimentConfig.from_file(path) == cfg
@@ -167,21 +167,28 @@ def test_config_roundtrip_and_validation(tmp_path):
     for kwargs in (dict(problem="stokes"), dict(tol=0.0),
                    dict(max_level=-1), dict(x0=(0.0, 0.0)),
                    dict(preconditioners=("Cholesky",)),
-                   dict(cond_method="svd"),
                    dict(preconditioners=()), dict(gamma=-1.0)):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
 
-def test_config_rejects_removed_base_order(tmp_path):
-    # base_order selected nothing; a saved config still carrying it is an
-    # error naming the key, not a silently ignored setting
+# removed config fields with the one value each was ever run with
+REMOVED_KEYS = {"base_order": 4, "alpha_bar_rule": "harmonic",
+                "nitsche_length_rule": None, "ghost_length_rule": "global",
+                "mg_cycles": 3, "strip_sweeps": None,
+                "cond_method": "per-level"}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_config_rejects_removed_base_order(tmp_path, key):
+    # a saved config still carrying a removed key is an error naming the
+    # key, not a silently ignored setting
     path = tmp_path / "old.json"
     ExperimentConfig().to_file(path)
     data = json.loads(path.read_text())
-    data["base_order"] = 4
+    data[key] = REMOVED_KEYS[key]
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="base_order"):
+    with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_file(path)
 
 
@@ -245,7 +252,7 @@ def test_delta_zero_run_deterministic(tmp_path):
     assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
 
-def test_study_row_contents(tiny_interface_study):
+def test_study_row_contents(tiny_interface_study, monkeypatch):
     row = tiny_interface_study.rows[0]
     assert (row.N0, row.N1) == (27, 27)
     assert set(row.iterations) == set(tiny_interface_study.config.
@@ -253,12 +260,14 @@ def test_study_row_contents(tiny_interface_study):
     assert all(n > 0 for n in row.iterations.values())
     assert row.kappa2 > 1.0 and row.kappa2_converged
     assert row.kappa2_steps == 0  # level 0 takes the dense estimate
-    assert row.tsys.Ahat.shape == (54, 54)
+    config = ExperimentConfig(max_level=0, preconditioners=("SGS",))
+    tsys = build_system(config)
+    assert tsys.Ahat.shape == (54, 54)
     assert "kappa2_steps" not in tiny_interface_study.row_dicts()[0]
 
-    lanczos = run_study(ExperimentConfig(max_level=0, cond_method="lanczos",
-                                         preconditioners=("SGS",))).rows[0]
-    est = estimate_condition(lanczos.tsys.Ahat, method="lanczos")
+    monkeypatch.setattr(experiments, "DENSE_MAX_LEVEL", -1)
+    lanczos = run_study(config).rows[0]
+    est = estimate_condition(tsys.Ahat, method="lanczos")
     assert lanczos.kappa2_steps == est.iterations > 0
     assert lanczos.kappa2_converged
 
@@ -334,22 +343,14 @@ def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
         return est
 
     monkeypatch.setattr("cutprec.cli.estimate_condition", unconverged)
-    assert main(["cond", "--max-level", "0", "--cond-method",
-                 "lanczos"]) == 0
+    monkeypatch.setattr(experiments, "DENSE_MAX_LEVEL", -1)
+    assert main(["cond", "--max-level", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]
     assert len(lines) == 3 and all(n > 0 for n in steps)
     for ln, n in zip(lines, steps):
         assert ln.endswith(f"]  steps={n}  lower bound: Lanczos not "
                            "converged")
-
-
-def test_cli_export_matrices(tmp_path):
-    target = tmp_path / "mats"
-    assert main(["export-matrices", "--max-level", "0",
-                 "--directory", str(target)]) == 0
-    names = sorted(p.name for p in target.glob("*.mtx"))
-    assert names == ["A.mtx", "A0.mtx", "A1.mtx", "Ahat.mtx", "L.mtx"]
 
 
 def test_cli_config_file_with_overrides(tmp_path):

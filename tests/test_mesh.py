@@ -178,7 +178,10 @@ def test_facet_areas_and_diameters():
     # total boundary area of the unit cube is 6, each square face split in two
     bnd = mesh.facets.is_boundary
     assert mesh.facets.areas[bnd].sum() == pytest.approx(6.0, abs=1e-13)
-    assert np.all(mesh.facets.diameters >= np.sqrt(2) - 1e-13)
+    p = mesh.vertices[mesh.facets.vertices]
+    edges = p - np.roll(p, 1, axis=1)
+    diameters = np.sqrt(np.max(np.sum(edges**2, axis=2), axis=1))
+    assert np.all(diameters >= np.sqrt(2) - 1e-13)
 
 
 def test_conformity_all_levels():
@@ -224,10 +227,7 @@ def reference_facets(vertices, tets):
     opp = vertices[tets[adj[:, 0]]].sum(axis=1) / 4.0
     wrong = np.einsum("fi,fi->f", normals, p.mean(axis=1) - opp) < 0
     normals[wrong] *= -1.0
-    edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 2] - p[:, 1]])
-    diameters = np.sqrt(np.max(np.sum(edges**2, axis=2), axis=0))
-    return Facets(vertices=uniq, tets=adj, normals=normals, areas=0.5 * nrm,
-                  diameters=diameters)
+    return Facets(vertices=uniq, tets=adj, normals=normals, areas=0.5 * nrm)
 
 
 def _arrays(hier):
@@ -236,7 +236,7 @@ def _arrays(hier):
         for name in ("vertices", "tets", "lattice", "volumes", "orientations",
                      "boundary_vertex_flags"):
             out[k, name] = getattr(mesh, name)
-        for name in ("vertices", "tets", "normals", "areas", "diameters"):
+        for name in ("vertices", "tets", "normals", "areas"):
             out[k, "facets." + name] = getattr(mesh.facets, name)
     for k, maps in enumerate(hier.maps):
         for name in ("child_tets", "coarse_to_fine", "midpoint_parents"):

@@ -16,12 +16,18 @@ from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.space import INTERFACE, build_dof_layout, build_index_sets
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
-                            GeometricMultigrid, IdentityPreconditioner,
-                            PreconditionerSettings, SymmetricGaussSeidel,
+                            GeometricMultigrid, SymmetricGaussSeidel,
                             build_prolongations, estimate_condition,
                             make_preconditioner, pcg)
 
 X0 = np.array([0.001, 0.002, 0.003])
+
+
+class Identity:
+    kind = "Identity"
+
+    def apply(self, r):
+        return r.copy()
 
 
 def random_spd(n, seed=0, density=0.3):
@@ -91,14 +97,14 @@ def uncut_laplacians(hierarchy2):
 
 def test_pcg_identity_matrix_converges_immediately():
     b = np.arange(1.0, 9.0)
-    x, rep = pcg(sp.eye(8, format="csr"), b, tol=1e-12)
+    x, rep = pcg(sp.eye(8, format="csr"), b, Identity(), tol=1e-12)
     assert rep.iterations == 1
     assert rep.converged
     assert np.allclose(x, b)
 
 
 def test_pcg_zero_rhs():
-    x, rep = pcg(sp.eye(5, format="csr"), np.zeros(5))
+    x, rep = pcg(sp.eye(5, format="csr"), np.zeros(5), Identity())
     assert rep.iterations == 0 and rep.converged
     assert np.all(x == 0.0)
 
@@ -108,7 +114,7 @@ def test_pcg_matches_direct_solve():
     rng = np.random.default_rng(4)
     b = rng.standard_normal(50)
     ref = np.linalg.solve(A.toarray(), b)
-    x, rep = pcg(A, b, tol=1e-12, max_iter=500)
+    x, rep = pcg(A, b, Identity(), tol=1e-12, max_iter=500)
     assert rep.converged
     assert np.linalg.norm(x - ref) <= 1e-5 * np.linalg.norm(ref)
 
@@ -116,7 +122,7 @@ def test_pcg_matches_direct_solve():
 def test_pcg_preconditioning_cuts_iterations():
     A = random_spd(80, seed=5)
     b = np.ones(80)
-    _, plain = pcg(A, b, tol=1e-10, max_iter=500)
+    _, plain = pcg(A, b, Identity(), tol=1e-10, max_iter=500)
     _, direct = pcg(A, b, DirectSolve(A), tol=1e-10)
     assert direct.iterations <= 2
     assert direct.iterations < plain.iterations
@@ -125,7 +131,7 @@ def test_pcg_preconditioning_cuts_iterations():
 def test_pcg_budget_exhaustion_raises():
     A = random_spd(60, seed=6)
     with pytest.raises(RuntimeError, match="no convergence"):
-        pcg(A, np.ones(60), tol=1e-14, max_iter=2)
+        pcg(A, np.ones(60), Identity(), tol=1e-14, max_iter=2)
 
 
 def test_pcg_rejects_indefinite_preconditioner():
@@ -142,19 +148,19 @@ def test_pcg_rejects_indefinite_preconditioner():
 def test_pcg_rejects_indefinite_matrix():
     A = -sp.eye(4, format="csr")
     with pytest.raises(ValueError, match="system matrix"):
-        pcg(A, np.ones(4), IdentityPreconditioner())
+        pcg(A, np.ones(4), Identity())
 
 
 def test_pcg_residual_history_layout(interface_systems):
     tsys = interface_systems[1]
     P = make_preconditioner("BlockExact", tsys)
-    _, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6, level=1)
+    _, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6)
     hist = rep.residuals
     assert hist[0] == 1.0
     assert hist.shape == (rep.iterations + 1,)
     assert np.all(hist > 0.0)
     assert hist[-1] <= 1e-6
-    assert rep.level == 1 and rep.preconditioner == "BlockExact"
+    assert rep.preconditioner == "BlockExact"
     assert rep.tol == 1e-6
 
 
@@ -365,16 +371,17 @@ def test_mg_rejects_bad_cycles():
 
 
 def test_block_diag_sgs_equals_exact_for_diagonal_strip():
-    """With a diagonal strip block one smoothing sweep is an exact solve,
-    so the two block preconditioners must coincide."""
+    """With a diagonal strip block one smoothing sweep is an exact solve
+    and the second corrects a residual that is zero up to rounding, so the
+    two block preconditioners must coincide."""
     A0 = random_spd(12, seed=16)
     d1 = np.linspace(1.0, 3.0, 8)
     A1 = sp.diags(d1).tocsr()
     tsys = SimpleNamespace(A0=A0, A1=A1, D1=d1,
-                           Ahat=sp.block_diag((A0, A1), format="csr"))
-    settings = PreconditionerSettings(strip_sweeps=1)
-    exact = make_preconditioner("BlockExact", tsys, settings=settings)
-    mixed = make_preconditioner("BlockDiagSGS", tsys, settings=settings)
+                           Ahat=sp.block_diag((A0, A1), format="csr"),
+                           layout=SimpleNamespace(problem=INTERFACE))
+    exact = make_preconditioner("BlockExact", tsys)
+    mixed = make_preconditioner("BlockDiagSGS", tsys)
     r = np.random.default_rng(17).standard_normal(20)
     assert np.allclose(mixed.apply(r), exact.apply(r), rtol=0, atol=1e-12)
 
@@ -463,14 +470,15 @@ def test_lanczos_generalized_pencil_matches_dense(case, interface_systems):
 
 
 def test_estimate_condition_identity_and_validation():
-    est = estimate_condition(sp.eye(10, format="csr"))
+    est = estimate_condition(sp.eye(10, format="csr"), method="dense")
     assert est.kappa == pytest.approx(1.0)
     assert est.method == "dense"
     assert est.iterations == 0
     with pytest.raises(ValueError, match="method"):
         estimate_condition(sp.eye(4, format="csr"), method="power")
     with pytest.raises(ValueError, match="positive definite"):
-        estimate_condition(sp.diags([-1.0, 1.0, 2.0]).tocsr())
+        estimate_condition(sp.diags([-1.0, 1.0, 2.0]).tocsr(),
+                           method="dense")
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"budget .*{budget}"):
             estimate_condition(sp.eye(4, format="csr"), method="lanczos",
@@ -489,14 +497,6 @@ def test_lanczos_exhausted_budget_is_flagged_lower_bound():
     assert est.lam_min >= ref.lam_min / 1.0001
     assert est.lam_max <= ref.lam_max * 1.0001
     assert est.kappa <= ref.kappa * 1.0001
-
-
-def test_estimate_condition_auto_switches(interface_systems):
-    small = estimate_condition(interface_systems[0].Ahat, method="auto")
-    assert small.method == "dense"
-    big = estimate_condition(interface_systems[1].Ahat, method="auto",
-                             dense_limit=100)
-    assert big.method == "lanczos"
 
 
 def test_interface_condition_number_level1(interface_systems):
