@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
-    ghost_facets, p1_gradients
+    ghost_facets
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
@@ -58,14 +58,13 @@ class ProblemCoefficients:
 
 @dataclass(frozen=True)
 class TransformedSystem:
-    """System in the split basis together with its side-block original.
+    """System in the split basis.
 
-    Ahat = L^T A L; A0/A1 are the leading/trailing principal blocks in the
-    (x0, x1) ordering and D1 the diagonal of A1.
+    Ahat = L^T A L and bhat = L^T b for the side-block system (A, b); A0/A1
+    are the leading/trailing principal blocks of Ahat in the (x0, x1)
+    ordering and D1 the diagonal of A1.
     """
 
-    A: sp.csr_matrix
-    b: np.ndarray
     L: sp.csr_matrix
     Ahat: sp.csr_matrix
     bhat: np.ndarray
@@ -125,14 +124,8 @@ class _SystemAccumulator:
         return A
 
 
-def all_gradients(mesh: Mesh) -> np.ndarray:
-    """Constant P1 shape gradients for every element, shape (nt, 4, 3)."""
-    return p1_gradients(mesh.vertices[mesh.tets])
-
-
-def element_diameters(mesh: Mesh) -> np.ndarray:
-    """Longest edge per element."""
-    verts = mesh.vertices[mesh.tets]
+def element_diameters(verts: np.ndarray) -> np.ndarray:
+    """Longest edge of each tet given as vertex arrays of shape (n, 4, 3)."""
     pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     lengths = np.stack([np.linalg.norm(verts[:, a] - verts[:, b], axis=1)
                         for a, b in pairs], axis=1)
@@ -230,18 +223,25 @@ def _add_full_loads(acc, mesh, sel, f, vdof):
     acc.add_load(bloc, vdof[mesh.tets[sel]])
 
 
-def _add_cut_loads(acc, mesh, cutinfo, grads, side, f, vdof):
+def cut_points(mesh: Mesh, cutinfo: CutInfo, grads, side: int):
+    """Volume quadrature of the cut elements on one side.
+
+    Returns the points, their weights, the element of each point and the
+    point's barycentric coordinates in that element, shape (n, 4).
+    """
     if side == 1:
         pts, w, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
     else:
         pts, w, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
-    if pts.shape[0] == 0:
-        return
-    owner = np.repeat(np.arange(cutinfo.n_cut), np.diff(off))
-    tids = cutinfo.cut_tets[owner]
-    d = pts - mesh.vertices[mesh.tets[tids, 0]]
-    lam = np.einsum("pix,px->pi", grads[tids], d)
+    tids = cutinfo.cut_tets[np.repeat(np.arange(cutinfo.n_cut), np.diff(off))]
+    lam = np.einsum("pix,px->pi", grads[tids],
+                    pts - mesh.vertices[mesh.tets[tids, 0]])
     lam[:, 0] += 1.0
+    return pts, w, tids, lam
+
+
+def _add_cut_loads(acc, mesh, cutinfo, grads, side, f, vdof):
+    pts, w, tids, lam = cut_points(mesh, cutinfo, grads, side)
     fv = np.asarray(f(pts), dtype=float)
     acc.add_load((w * fv)[:, None] * lam, vdof[mesh.tets[tids]])
 
@@ -256,8 +256,8 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
     if layout.problem != INTERFACE:
         raise ValueError("layout does not describe the interface problem")
     _check_cut_rules(mesh, cutinfo)
-    grads = all_gradients(mesh)
-    diam = element_diameters(mesh)
+    grads = mesh.gradients
+    diam = element_diameters(mesh.vertices[mesh.tets[cutinfo.cut_tets]])
     liftvals = dirichlet_values(mesh, g)
     acc = _SystemAccumulator(layout.dim)
 
@@ -276,7 +276,7 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
         mom = np.einsum("mp,mpi->mi", w, jump)
         consistency = flux[:, :, None] * mom[:, None, :]
         local = consistency + consistency.transpose(0, 2, 1)
-        local += (pen / diam[tids])[:, None, None] * np.einsum(
+        local += (pen / diam[C])[:, None, None] * np.einsum(
             "mp,mpi,mpj->mij", w, jump, jump)
         verts = mesh.tets[tids]
         dofs = np.concatenate([layout.v1_dof[verts], layout.v2_dof[verts]],
@@ -308,7 +308,7 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
     if layout.problem != FICTITIOUS:
         raise ValueError("layout does not describe the fictitious domain")
     _check_cut_rules(mesh, cutinfo)
-    grads = all_gradients(mesh)
+    grads = mesh.gradients
     acc = _SystemAccumulator(layout.dim)
 
     meas1, _ = _side_measures(mesh, cutinfo)
@@ -394,6 +394,6 @@ def transform(A: sp.csr_matrix, b: np.ndarray, L: sp.csr_matrix,
         raise ValueError(
             "non-positive diagonal in the strip block; assembled system is "
             "not positive definite (check penalty parameters)")
-    return TransformedSystem(A=A, b=b, L=L, Ahat=Ahat, bhat=bhat,
-                             A0=A0, A1=A1, D1=D1, layout=layout)
+    return TransformedSystem(L=L, Ahat=Ahat, bhat=bhat, A0=A0, A1=A1, D1=D1,
+                             layout=layout)
 

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (ProblemCoefficients, TransformedSystem, all_gradients,
-                       assemble_fd, assemble_interface, build_L,
+from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
+                       assemble_interface, build_L, cut_points,
                        dirichlet_values, transform)
-from .geometry import (NEG, POS, SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
+from .geometry import (SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
                        build_cut_info, classify)
 from .mesh import MeshHierarchy
 from .solver import (PRECONDITIONER_KINDS, estimate_condition,
@@ -59,6 +59,16 @@ def _cubic_gradient(xh):
                      np.zeros(xh.shape[0])], axis=1)
 
 
+def _load(x0):
+    """The load f = u (18 - 4|xh|^2) of the one-sided solution u, also the
+    load of both sides of the interface solution."""
+    def f(pts):
+        _, p, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        return p * E * (18.0 - 4.0 * r2)
+
+    return f
+
+
 def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution:
     """Piecewise solution vanishing on the unit sphere around x0.
 
@@ -79,11 +89,7 @@ def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution
                 (_cubic_gradient(xh) * (E - 1.0)[:, None]
                  - 2.0 * (p * E)[:, None] * xh) / alphas[side])
 
-    def f(pts):
-        _, p, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return p * E * (18.0 - 4.0 * r2)
-
-    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f, g=u)
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0), g=u)
 
 
 def fictitious_solution(x0) -> ManufacturedSolution:
@@ -100,11 +106,7 @@ def fictitious_solution(x0) -> ManufacturedSolution:
         return p * E, E[:, None] * (_cubic_gradient(xh)
                                     - 2.0 * p[:, None] * xh)
 
-    def f(pts):
-        _, p, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return p * E * (18.0 - 4.0 * r2)
-
-    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f,
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0),
                                 g=lambda pts: u(pts))
 
 
@@ -147,12 +149,6 @@ class ExperimentConfig:
         return ProblemCoefficients(
             alpha1=self.alpha1, alpha2=self.alpha2, gamma=self.gamma,
             beta=self.beta)
-
-    def to_file(self, path):
-        data = {k: list(v) if isinstance(v, tuple) else v
-                for k, v in self.__dict__.items()}
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True)
-                              + "\n")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -255,22 +251,11 @@ def _accumulate_full(mesh, grads, sel, vals, sol, side, acc):
 
 
 def _accumulate_cut(mesh, grads, cutinfo, vals, sol, side, acc):
-    if side == 1:
-        pts, w, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
-    else:
-        pts, w, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
-    if pts.shape[0] == 0:
-        return
-    owner = np.repeat(np.arange(cutinfo.n_cut), np.diff(off))
-    tets = cutinfo.cut_tets[owner]
-    G = grads[tets]
-    lam = np.einsum("pix,px->pi",
-                    G, pts - mesh.vertices[mesh.tets[tets, 0]])
-    lam[:, 0] += 1.0
-    nodal = vals[mesh.tets[tets]]
+    pts, w, tids, lam = cut_points(mesh, cutinfo, grads, side)
+    nodal = vals[mesh.tets[tids]]
     uh = np.einsum("pi,pi->p", lam, nodal)
     ue, ge = sol.u_and_grad(pts, side)
-    gh = np.einsum("pix,pi->px", G, nodal)
+    gh = np.einsum("pix,pi->px", grads[tids], nodal)
     acc[0] += float(w @ (ue - uh) ** 2)
     diff = ge - gh
     acc[1] += float(w @ np.einsum("px,px->p", diff, diff))
@@ -283,23 +268,20 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
     problem and over the inside region only for the fictitious domain,
     using the same cut quadrature as the assembly.
     """
-    grads = all_gradients(mesh)
+    grads = mesh.gradients
     acc = [0.0, 0.0]
     if layout.problem == INTERFACE:
         lift = dirichlet_values(mesh, sol.g)
         vals1 = _expand_side_values(mesh, layout, y, 1, lift)
         vals2 = _expand_side_values(mesh, layout, y, 2, lift)
-        neg = np.flatnonzero(cutinfo.tet_class == NEG)
-        pos = np.flatnonzero(cutinfo.tet_class == POS)
-        _accumulate_full(mesh, grads, neg, vals1, sol, 1, acc)
-        _accumulate_full(mesh, grads, pos, vals2, sol, 2, acc)
+        _accumulate_full(mesh, grads, cutinfo.minus1, vals1, sol, 1, acc)
+        _accumulate_full(mesh, grads, cutinfo.minus2, vals2, sol, 2, acc)
         _accumulate_cut(mesh, grads, cutinfo, vals1, sol, 1, acc)
         _accumulate_cut(mesh, grads, cutinfo, vals2, sol, 2, acc)
     else:
         vals1 = np.zeros(mesh.n_vertices)
         vals1[layout.v1_vertices] = y[layout.v1_dof[layout.v1_vertices]]
-        neg = np.flatnonzero(cutinfo.tet_class == NEG)
-        _accumulate_full(mesh, grads, neg, vals1, sol, 1, acc)
+        _accumulate_full(mesh, grads, cutinfo.minus1, vals1, sol, 1, acc)
         _accumulate_cut(mesh, grads, cutinfo, vals1, sol, 1, acc)
     l2 = float(np.sqrt(acc[0]))
     semi = float(np.sqrt(acc[1]))
@@ -377,6 +359,7 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
         iterations[kind] = rep.iterations
         if first_solution is None:
             first_solution = xhat
+        del P  # free its factors before the next preconditioner is built
 
     with _located("condition estimate", level, delta):
         est = estimate_condition(tsys.Ahat, method=cond_method(level))

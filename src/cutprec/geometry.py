@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, p1_gradients
 
 NEG, CUT, POS = -1, 0, 1
 
@@ -78,14 +78,6 @@ class SphereLevelSet:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.linalg.norm(x - self.center, axis=-1) - self.radius
-
-
-def p1_gradients(verts: np.ndarray) -> np.ndarray:
-    """Constant gradients of the 4 nodal P1 basis functions on tets given as
-    vertex arrays of shape (..., 4, 3); returns shape (..., 4, 3)."""
-    J = np.swapaxes(verts[..., 1:, :] - verts[..., :1, :], -1, -2)
-    Jinv = np.linalg.inv(J)
-    return np.concatenate([-Jinv.sum(axis=-2, keepdims=True), Jinv], axis=-2)
 
 
 def classify(mesh: Mesh, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +240,6 @@ class CutInfo:
     tet_class: np.ndarray
     vertex_phi: np.ndarray
     cut_tets: np.ndarray
-    cut_index: np.ndarray  # tet id -> cut-local id, -1 if uncut
     kappa1: np.ndarray
     vol1: np.ndarray
     vol2: np.ndarray
@@ -298,8 +289,6 @@ def build_cut_info(mesh: Mesh, phi) -> CutInfo:
     """Classify all elements and build cut quadrature for the cut ones."""
     tet_class, vertex_phi = classify(mesh, phi)
     cut_tets = np.flatnonzero(tet_class == CUT)
-    cut_index = np.full(mesh.n_tets, -1, dtype=np.int64)
-    cut_index[cut_tets] = np.arange(cut_tets.size)
     tets = mesh.tets[cut_tets]
     rules = cut_rules(mesh.vertices[tets], vertex_phi[tets])
 
@@ -313,8 +302,7 @@ def build_cut_info(mesh: Mesh, phi) -> CutInfo:
         negative[np.searchsorted(off, np.flatnonzero(w < 0), "right") - 1] = True
     _reject(negative, cut_tets, "negative cut quadrature weight on")
 
-    return CutInfo(tet_class=tet_class, vertex_phi=vertex_phi,
-                   cut_tets=cut_tets, cut_index=cut_index,
+    return CutInfo(tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
                    kappa1=rules.vol1 / tot, **rules._asdict())
 
 

@@ -11,6 +11,7 @@ coordinates of coarse vertices reappear bitwise identically on finer levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +59,9 @@ class Mesh:
     Vertices carry integer lattice indices (lattice, lattice_n): the physical
     coordinate is box_lo + extent * lattice / lattice_n.  Tet vertex orderings
     are canonical (sorted by lattice order); red refinement relies on this to
-    reproduce the halved-lattice cube subdivision exactly.  The per-tet parity
-    is recorded in orientations, so orientations * det(edges) / 6 =
-    volumes > 0.  All arrays are read-only after construction.
+    reproduce the halved-lattice cube subdivision exactly.  volumes are the
+    absolute values of the signed tet volumes.  All arrays are read-only
+    after construction.
     """
 
     vertices: np.ndarray
@@ -72,11 +73,10 @@ class Mesh:
     box: np.ndarray
     facets: Facets = field(repr=False)
     volumes: np.ndarray = field(repr=False)
-    orientations: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for arr in (self.vertices, self.tets, self.boundary_vertex_flags,
-                    self.lattice, self.box, self.volumes, self.orientations):
+                    self.lattice, self.box, self.volumes):
             arr.setflags(write=False)
         for arr in (self.facets.vertices, self.facets.tets,
                     self.facets.normals, self.facets.areas):
@@ -96,24 +96,20 @@ class Mesh:
         extent = self.box[1] - self.box[0]
         return float(np.max(extent) / self.lattice_n)
 
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """Constant P1 shape gradients of every element, shape (nt, 4, 3)."""
+        grads = p1_gradients(self.vertices[self.tets])
+        grads.setflags(write=False)
+        return grads
 
-@dataclass(frozen=True)
-class RefinementMaps:
-    """Connectivity between a mesh and its uniform refinement.
 
-    child_tets: (n_coarse_tets, 8) fine tet ids per coarse tet.
-    coarse_to_fine: coarse vertex id -> fine vertex id (identity embedding).
-    midpoint_parents: (n_new, 2) coarse vertex pair whose midpoint is fine
-        vertex len(coarse_to_fine) + row index.
-    """
-
-    child_tets: np.ndarray
-    coarse_to_fine: np.ndarray
-    midpoint_parents: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.child_tets, self.coarse_to_fine, self.midpoint_parents):
-            arr.setflags(write=False)
+def p1_gradients(verts: np.ndarray) -> np.ndarray:
+    """Constant gradients of the 4 nodal P1 basis functions on tets given as
+    vertex arrays of shape (..., 4, 3); returns shape (..., 4, 3)."""
+    J = np.swapaxes(verts[..., 1:, :] - verts[..., :1, :], -1, -2)
+    Jinv = np.linalg.inv(J)
+    return np.concatenate([-Jinv.sum(axis=-2, keepdims=True), Jinv], axis=-2)
 
 
 def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -150,17 +146,12 @@ def _coords_from_lattice(lattice: np.ndarray, n: int, box: np.ndarray) -> np.nda
     return lo + (hi - lo) * lattice / float(n)
 
 
-def build_facets(mesh_or_vertices, tets: np.ndarray | None = None) -> Facets:
+def build_facets(vertices: np.ndarray, tets: np.ndarray) -> Facets:
     """Derive facet connectivity: vertex triples, adjacent tets, oriented normals.
 
-    Accepts a Mesh or a (vertices, tets) pair.  Interior facet normals point
-    from the lower to the higher adjacent tet id; boundary normals point out
-    of their single tet.
+    Interior facet normals point from the lower to the higher adjacent tet
+    id; boundary normals point out of their single tet.
     """
-    if tets is None:
-        vertices, tets = mesh_or_vertices.vertices, mesh_or_vertices.tets
-    else:
-        vertices = mesh_or_vertices
     nt = tets.shape[0]
     local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
     faces = np.sort(tets[:, local], axis=2).reshape(-1, 3)
@@ -218,11 +209,9 @@ def _make_mesh(lattice: np.ndarray, n: int, box: np.ndarray,
     signed = _signed_volumes(vertices, tets)
     if np.any(signed == 0):
         raise ValueError("degenerate tetrahedron")
-    orientations = np.where(signed > 0, 1, -1).astype(np.int8)
     return Mesh(vertices=vertices, tets=tets, level=level,
                 boundary_vertex_flags=on_bnd, lattice=lattice, lattice_n=n,
-                box=box, facets=facets, volumes=np.abs(signed),
-                orientations=orientations)
+                box=box, facets=facets, volumes=np.abs(signed))
 
 
 def build_initial_mesh(n_per_axis: int, box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))) -> Mesh:
@@ -255,8 +244,13 @@ def build_initial_mesh(n_per_axis: int, box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5)
     return _make_mesh(lattice, n, box, tets, level=0)
 
 
-def refine_uniform(mesh: Mesh) -> tuple[Mesh, RefinementMaps]:
-    """Split every tet into 8 children; returns the fine mesh and the maps."""
+def refine_uniform(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
+    """Split every tet into 8 children, numbered 8 t .. 8 t + 7 for tet t.
+
+    Returns the fine mesh and the midpoint parents: fine vertex
+    n_vertices + i is the midpoint of coarse vertices midpoint_parents[i]
+    (a sorted pair); coarse vertex v keeps its id v.
+    """
     tets = mesh.tets
     nv = mesh.n_vertices
     pairs = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1)
@@ -299,41 +293,32 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, RefinementMaps]:
             octa[rows, k] = np.stack([p, ca, cb, q], axis=1)
 
     children = np.concatenate([corner, octa], axis=1)
-    fine_tets = children.reshape(-1, 4)
-    fine = _make_mesh(fine_lattice, fine_n, mesh.box, fine_tets,
+    fine = _make_mesh(fine_lattice, fine_n, mesh.box, children.reshape(-1, 4),
                       level=mesh.level + 1)
-    maps = RefinementMaps(
-        child_tets=np.arange(fine_tets.shape[0]).reshape(-1, 8),
-        coarse_to_fine=np.arange(nv),
-        midpoint_parents=edges,
-    )
-    return fine, maps
+    edges.setflags(write=False)
+    return fine, edges
 
 
 class MeshHierarchy:
     """Nested meshes produced by successive uniform refinement.
 
-    levels[k] is the mesh at refinement level k; maps[k] connects levels[k]
-    to levels[k+1].
+    levels[k] is the mesh at refinement level k; midpoint_parents[k] are
+    the midpoint parents of levels[k + 1] (see refine_uniform).
     """
 
-    def __init__(self, initial: Mesh):
-        self.levels: list[Mesh] = [initial]
-        self.maps: list[RefinementMaps] = []
+    def __init__(self, levels: list, midpoint_parents: list):
+        self.levels = levels
+        self.midpoint_parents = midpoint_parents
 
     @classmethod
     def build(cls, max_level: int, n_per_axis: int = 4,
               box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))) -> "MeshHierarchy":
-        hier = cls(build_initial_mesh(n_per_axis, box))
+        levels, parents = [build_initial_mesh(n_per_axis, box)], []
         for _ in range(max_level):
-            hier.refine()
-        return hier
-
-    def refine(self) -> Mesh:
-        fine, maps = refine_uniform(self.levels[-1])
-        self.levels.append(fine)
-        self.maps.append(maps)
-        return fine
+            fine, mids = refine_uniform(levels[-1])
+            levels.append(fine)
+            parents.append(mids)
+        return cls(levels, parents)
 
     @property
     def finest(self) -> Mesh:
@@ -343,8 +328,5 @@ class MeshHierarchy:
         """Sub-hierarchy sharing the meshes up to the given level."""
         if not 0 <= level < len(self.levels):
             raise ValueError("level outside the hierarchy")
-        sub = MeshHierarchy(self.levels[0])
-        sub.levels = self.levels[:level + 1]
-        sub.maps = self.maps[:level]
-        return sub
-
+        return MeshHierarchy(self.levels[:level + 1],
+                             self.midpoint_parents[:level])

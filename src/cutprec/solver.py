@@ -182,40 +182,22 @@ def build_prolongations(hierarchy: MeshHierarchy, active_sets) -> list:
     """Nested P1 interpolation operators restricted to active vertex sets.
 
     active_sets[k] lists the active (sorted) vertex ids of level k; the dof
-    ordering of each level is the listed order.  Copied vertices map with
-    weight one, edge midpoints with one half per active parent; inactive
-    parents are dropped (their value is zero by elimination).
+    ordering of each level is the listed order.  Each operator is the full
+    interpolation sliced to the active rows and columns: coarse vertices
+    keep their value, edge midpoints take one half of each active parent,
+    and inactive parents drop out (their value is zero by elimination).
     """
     if len(active_sets) != len(hierarchy.levels):
         raise ValueError("one active set per level required")
     prols = []
-    for k, maps in enumerate(hierarchy.maps):
-        coarse, fine = hierarchy.levels[k], hierarchy.levels[k + 1]
-        cidx = np.full(coarse.n_vertices, -1, dtype=np.int64)
-        cidx[active_sets[k]] = np.arange(len(active_sets[k]))
-        fidx = np.full(fine.n_vertices, -1, dtype=np.int64)
-        fidx[active_sets[k + 1]] = np.arange(len(active_sets[k + 1]))
-
-        rows, cols, vals = [], [], []
-        copied = np.asarray(active_sets[k])
-        ok = fidx[copied] >= 0
-        rows.append(fidx[copied[ok]])
-        cols.append(cidx[copied[ok]])
-        vals.append(np.ones(ok.sum()))
-
-        mid_ids = coarse.n_vertices + np.arange(maps.midpoint_parents.shape[0])
-        for side in (0, 1):
-            parents = maps.midpoint_parents[:, side]
-            ok = (fidx[mid_ids] >= 0) & (cidx[parents] >= 0)
-            rows.append(fidx[mid_ids[ok]])
-            cols.append(cidx[parents[ok]])
-            vals.append(np.full(ok.sum(), 0.5))
-
-        P = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(active_sets[k + 1]), len(active_sets[k]))).tocsr()
-        prols.append(P)
+    for k, parents in enumerate(hierarchy.midpoint_parents):
+        nc, nm = hierarchy.levels[k].n_vertices, parents.shape[0]
+        full = sp.csr_matrix(
+            (np.r_[np.ones(nc), np.full(2 * nm, 0.5)],
+             np.r_[np.arange(nc), parents.ravel()],
+             np.r_[np.arange(nc), nc + 2 * np.arange(nm + 1)]),
+            shape=(nc + nm, nc))
+        prols.append(full[active_sets[k + 1]][:, active_sets[k]])
     return prols
 
 

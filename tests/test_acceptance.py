@@ -4,8 +4,8 @@ Each test covers one acceptance target at its stated tolerance and prints a
 single pass/fail line with the measured quantities.  The three study
 fixtures below are the complete level-0..3 runs.  Study rows keep no
 matrices, so criteria 6 and 7 assemble the systems they need with
-build_system, one at a time (no PCG), and the whole module runs in a few
-minutes.
+build_system, one at a time (no PCG; criterion 7 also assembles the
+side-block matrix itself), and the whole module runs in a few minutes.
 """
 
 from dataclasses import replace
@@ -15,12 +15,12 @@ import pytest
 import scipy.sparse as sp
 
 from cutprec.experiments import (ExperimentConfig, build_system,
-                                 cond_method, run_study)
+                                 cond_method, interface_solution, run_study)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
 from cutprec.space import FICTITIOUS, build_dof_layout, build_index_sets
-from cutprec.assembly import ProblemCoefficients, assemble_interface, build_L
+from cutprec.assembly import ProblemCoefficients, assemble_interface
 
 PAPER_DIMS = [(27, 27), (343, 208), (3375, 844), (29791, 3373)]
 PAPER_KAPPA = [8.77e1, 9.79e2, 1.28e3, 2.33e3]
@@ -200,21 +200,29 @@ def classical_stiffness(mesh, keep):
 def test_criterion_7_oracle_equivalences(interface_study):
     parts = []
 
-    # split-basis congruence, matrix free on 20 random vectors
-    tsys = build_system(interface_study.config, 1)
+    # split-basis congruence, matrix free on 20 random vectors, against the
+    # side-block matrix assembled here
+    config = interface_study.config
+    x0 = np.asarray(config.x0)
+    tsys = build_system(config, 1)
+    mesh = MeshHierarchy.build(1).finest
+    info = build_cut_info(mesh, SphereLevelSet(center=x0))
+    layout = build_dof_layout(build_index_sets(mesh, info))
+    sol = interface_solution(x0, config.alpha1, config.alpha2)
+    A, _ = assemble_interface(mesh, info, layout, config.coefficients(),
+                              sol.f, sol.g)
     rng = np.random.default_rng(7)
     rel = 0.0
     for _ in range(20):
         v = rng.standard_normal(tsys.Ahat.shape[0])
         direct = tsys.Ahat @ v
-        free = tsys.L.T @ (tsys.A @ (tsys.L @ v))
+        free = tsys.L.T @ (A @ (tsys.L @ v))
         rel = max(rel, np.linalg.norm(direct - free)
                   / np.linalg.norm(direct))
     ok_congruence = rel <= 1e-10
     parts.append(f"LtAL rel err {rel:.2e} <= 1e-10")
 
     # cut quadrature converges to the ball volume and sphere area
-    x0 = np.asarray(interface_study.config.x0)
     levelset = SphereLevelSet(center=x0)
     vol_err, area_err = [], []
     for mesh in MeshHierarchy.build(3).levels:

@@ -150,11 +150,18 @@ def test_order_computation_is_log2_ratio():
     assert d[1]["h1_full_order"] == pytest.approx(2.0, abs=1e-14)
 
 
+def write_config(config, path):
+    """Save a config as the JSON object ExperimentConfig.from_file reads."""
+    data = {k: list(v) if isinstance(v, tuple) else v
+            for k, v in config.__dict__.items()}
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def test_config_roundtrip_and_validation(tmp_path):
     cfg = ExperimentConfig(max_level=2, deltas=(0.0, 0.01), gamma=100.0,
                            beta=0.0)
     path = tmp_path / "cfg.json"
-    cfg.to_file(path)
+    write_config(cfg, path)
     assert ExperimentConfig.from_file(path) == cfg
 
     data = json.loads(path.read_text())
@@ -184,7 +191,7 @@ def test_config_rejects_removed_base_order(tmp_path, key):
     # a saved config still carrying a removed key is an error naming the
     # key, not a silently ignored setting
     path = tmp_path / "old.json"
-    ExperimentConfig().to_file(path)
+    write_config(ExperimentConfig(), path)
     data = json.loads(path.read_text())
     data[key] = REMOVED_KEYS[key]
     path.write_text(json.dumps(data))
@@ -355,8 +362,8 @@ def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
 
 def test_cli_config_file_with_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    ExperimentConfig(max_level=0, output_dir=str(tmp_path / "a")).to_file(
-        cfg_path)
+    write_config(ExperimentConfig(max_level=0, output_dir=str(tmp_path / "a")),
+                 cfg_path)
     code = main(["interface-study", "--config", str(cfg_path),
                  "--output-dir", str(tmp_path / "b")])
     assert code == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutprec.mesh import MeshHierarchy, build_initial_mesh
+from cutprec.mesh import MeshHierarchy, build_initial_mesh, p1_gradients
 from cutprec.geometry import (
     CUT,
     NEG,
@@ -21,7 +21,6 @@ from cutprec.geometry import (
     classify,
     cut_rules,
     ghost_facets,
-    p1_gradients,
 )
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -112,10 +111,8 @@ def oracle_cut_info(mesh, phi) -> dict:
         areas.append(sum(0.5 * np.linalg.norm(np.cross(tri[1] - tri[0],
                                                        tri[2] - tri[0]))
                          for tri in tris))
-    cut_index = np.full(mesh.n_tets, -1, dtype=np.int64)
-    cut_index[cut_tets] = np.arange(cut_tets.size)
     out = dict(tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
-               cut_index=cut_index, vol1=np.array(vol1), vol2=np.array(vol2),
+               vol1=np.array(vol1), vol2=np.array(vol2),
                normals=np.array(normals).reshape(-1, 3),
                area=np.array(areas))
     out["kappa1"] = out["vol1"] / mesh.volumes[cut_tets]
@@ -364,11 +361,11 @@ def test_normal_consistency():
     phi = SphereLevelSet(center=X0)
     mesh = MeshHierarchy.build(1).finest
     ci = build_cut_info(mesh, phi)
-    for t in ci.cut_tets[::7]:
+    for c in range(0, ci.n_cut, 7):
+        t = ci.cut_tets[c]
         verts = mesh.vertices[mesh.tets[t]]
         pv = ci.vertex_phi[mesh.tets[t]]
         grad = p1_gradients(verts).T @ pv
-        c = ci.cut_index[t]
         normal = ci.normals[c]
         assert np.dot(normal, grad) > 0
         # normals of a sphere point radially outward
@@ -382,14 +379,14 @@ def test_kappa_monte_carlo_cross_check():
     mesh = MeshHierarchy.build(0).finest
     ci = build_cut_info(mesh, phi)
     rng = np.random.default_rng(5)
-    for t in ci.cut_tets[:6]:
+    for c, t in enumerate(ci.cut_tets[:6]):
         verts = mesh.vertices[mesh.tets[t]]
         lam = rng.dirichlet(np.ones(4), size=20000)
         pts = lam @ verts
         # fraction by the linear interpolant, consistent with the cut geometry
         pv = ci.vertex_phi[mesh.tets[t]]
         frac = np.mean(lam @ pv < 0)
-        k1 = ci.kappa1[ci.cut_index[t]]
+        k1 = ci.kappa1[c]
         assert k1 == pytest.approx(frac, abs=0.02)
 
 

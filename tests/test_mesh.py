@@ -4,11 +4,11 @@ import pytest
 import cutprec.mesh as mesh_module
 from cutprec.mesh import (
     Facets,
-    Mesh,
     MeshHierarchy,
     _unique_rows,
     build_facets,
     build_initial_mesh,
+    p1_gradients,
     refine_uniform,
 )
 
@@ -39,8 +39,24 @@ def test_orientation_convention():
     p = mesh.vertices[mesh.tets]
     e = p[:, 1:] - p[:, :1]
     signed = np.einsum("ti,ti->t", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
-    assert np.all(mesh.orientations * signed > 0)
-    assert np.allclose(mesh.orientations * signed, mesh.volumes)
+    # Kuhn tets of both parities; volumes are the unsigned ones
+    assert np.any(signed > 0) and np.any(signed < 0)
+    assert np.all(signed != 0)
+    assert np.allclose(np.abs(signed), mesh.volumes)
+
+
+def test_gradients_cached_read_only_and_exact():
+    mesh = build_initial_mesh(2, BOX)
+    grads = mesh.gradients
+    assert mesh.gradients is grads
+    assert not grads.flags.writeable
+    assert np.array_equal(grads, p1_gradients(mesh.vertices[mesh.tets]))
+    # grad(lambda_i) . (x_j - x_0) = delta_ij - delta_i0 on every tet
+    verts = mesh.vertices[mesh.tets]
+    edges = verts - verts[:, :1]
+    want = np.eye(4)[None] - np.eye(4)[:, :1][None]
+    assert np.allclose(np.einsum("tix,tjx->tij", grads, edges), want,
+                       rtol=0, atol=1e-12)
 
 
 def test_refinement_reproduces_finer_cube_subdivision():
@@ -77,12 +93,12 @@ def test_boundary_vertex_flags():
 
 def test_refine_counts_and_volume():
     mesh = build_initial_mesh(4, BOX)
-    fine, maps = refine_uniform(mesh)
+    fine, _ = refine_uniform(mesh)
     assert fine.n_tets == 8 * 384 == 3072
     assert fine.volumes.sum() == pytest.approx(27.0, abs=1e-10)
     assert np.all(fine.volumes > 0)
-    # children partition each parent
-    child_vol = fine.volumes[maps.child_tets].sum(axis=1)
+    # children partition each parent: tet t has children 8 t .. 8 t + 7
+    child_vol = fine.volumes.reshape(-1, 8).sum(axis=1)
     assert np.allclose(child_vol, mesh.volumes, rtol=0, atol=1e-12)
 
 
@@ -98,13 +114,13 @@ def test_hierarchy_nesting_exact():
     hier = MeshHierarchy.build(2, 4, BOX)
     for k in range(2):
         coarse, fine = hier.levels[k], hier.levels[k + 1]
-        maps = hier.maps[k]
-        # coarse vertices reappear bitwise identically
+        parents = hier.midpoint_parents[k]
+        # coarse vertices reappear bitwise identically, under their own ids
         assert np.array_equal(coarse.vertices,
-                              fine.vertices[maps.coarse_to_fine])
+                              fine.vertices[:coarse.n_vertices])
         # every new vertex is the midpoint of its recorded coarse edge
-        mids = 0.5 * (coarse.vertices[maps.midpoint_parents[:, 0]]
-                      + coarse.vertices[maps.midpoint_parents[:, 1]])
+        mids = 0.5 * (coarse.vertices[parents[:, 0]]
+                      + coarse.vertices[parents[:, 1]])
         new = fine.vertices[coarse.n_vertices:]
         assert np.max(np.abs(new - mids)) < 1e-13
 
@@ -233,14 +249,13 @@ def reference_facets(vertices, tets):
 def _arrays(hier):
     out = {}
     for k, mesh in enumerate(hier.levels):
-        for name in ("vertices", "tets", "lattice", "volumes", "orientations",
+        for name in ("vertices", "tets", "lattice", "volumes",
                      "boundary_vertex_flags"):
             out[k, name] = getattr(mesh, name)
         for name in ("vertices", "tets", "normals", "areas"):
             out[k, "facets." + name] = getattr(mesh.facets, name)
-    for k, maps in enumerate(hier.maps):
-        for name in ("child_tets", "coarse_to_fine", "midpoint_parents"):
-            out[k, "maps." + name] = getattr(maps, name)
+    for k, parents in enumerate(hier.midpoint_parents):
+        out[k, "midpoint_parents"] = parents
     return out
 
 

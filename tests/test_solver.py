@@ -12,9 +12,11 @@ from types import SimpleNamespace
 
 from cutprec.assembly import (ProblemCoefficients, assemble_interface,
                               build_L, transform)
-from cutprec.geometry import SphereLevelSet, build_cut_info
+from cutprec.experiments import ExperimentConfig, build_system
+from cutprec.geometry import SphereLevelSet, build_cut_info, classify
 from cutprec.mesh import MeshHierarchy
-from cutprec.space import INTERFACE, build_dof_layout, build_index_sets
+from cutprec.space import (FICTITIOUS, INTERFACE, build_dof_layout,
+                           build_index_sets)
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
                             GeometricMultigrid, SymmetricGaussSeidel,
                             build_prolongations, estimate_condition,
@@ -300,6 +302,78 @@ def test_direct_solve_singular_matrix_raises():
     M = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="factorization"):
         DirectSolve(M)
+
+
+def oracle_prolongations(hierarchy, active_sets):
+    """Nested P1 interpolation assembled from vertex index maps, one entry
+    group at a time: copied vertices with weight one, then each midpoint
+    with one half per active parent."""
+    prols = []
+    for k, parents in enumerate(hierarchy.midpoint_parents):
+        coarse, fine = hierarchy.levels[k], hierarchy.levels[k + 1]
+        cidx = np.full(coarse.n_vertices, -1, dtype=np.int64)
+        cidx[active_sets[k]] = np.arange(len(active_sets[k]))
+        fidx = np.full(fine.n_vertices, -1, dtype=np.int64)
+        fidx[active_sets[k + 1]] = np.arange(len(active_sets[k + 1]))
+
+        rows, cols, vals = [], [], []
+        copied = np.asarray(active_sets[k])
+        ok = fidx[copied] >= 0
+        rows.append(fidx[copied[ok]])
+        cols.append(cidx[copied[ok]])
+        vals.append(np.ones(ok.sum()))
+
+        mid_ids = coarse.n_vertices + np.arange(parents.shape[0])
+        for side in (0, 1):
+            ok = (fidx[mid_ids] >= 0) & (cidx[parents[:, side]] >= 0)
+            rows.append(fidx[mid_ids[ok]])
+            cols.append(cidx[parents[ok, side]])
+            vals.append(np.full(ok.sum(), 0.5))
+
+        P = sp.coo_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(active_sets[k + 1]), len(active_sets[k]))).tocsr()
+        prols.append(P)
+    return prols
+
+
+def multigrid_active_sets(hierarchy, problem):
+    """The vertex sets the studies give the multigrid block: interior box
+    vertices (interface) or vertices inside the sphere (fictitious)."""
+    if problem == INTERFACE:
+        return [np.flatnonzero(~m.boundary_vertex_flags)
+                for m in hierarchy.levels]
+    levelset = SphereLevelSet(center=X0)
+    return [np.flatnonzero(classify(m, levelset)[1] < 0.0)
+            for m in hierarchy.levels]
+
+
+def assert_same_csr(got, want, what):
+    assert got.shape == want.shape, what
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (what, name)
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_prolongations_match_index_map_oracle(problem):
+    hierarchy = MeshHierarchy.build(3)
+    active = multigrid_active_sets(hierarchy, problem)
+    got = build_prolongations(hierarchy, active)
+    want = oracle_prolongations(hierarchy, active)
+    assert len(got) == len(want) == 3
+    for k, (P, Q) in enumerate(zip(got, want)):
+        assert_same_csr(P, Q, (problem, k))
+    # the Galerkin operators of the level-2 standard block agree as well
+    sub = hierarchy.truncated(2)
+    A0 = build_system(ExperimentConfig(problem=problem), level=2).A0
+    assert A0.shape[0] == active[2].size
+    got = GeometricMultigrid(A0, build_prolongations(sub, active[:3]))
+    want = GeometricMultigrid(A0, oracle_prolongations(sub, active[:3]))
+    assert len(got.operators) == 3
+    for k, (G, W) in enumerate(zip(got.operators, want.operators)):
+        assert_same_csr(G, W, (problem, "operator", k))
 
 
 def test_prolongation_reproduces_linear_functions(hierarchy2):
