@@ -62,7 +62,7 @@ class TransformedSystem:
 
     Ahat = L^T A L and bhat = L^T b for the side-block system (A, b); A0/A1
     are the leading/trailing principal blocks of Ahat in the (x0, x1)
-    ordering and D1 the diagonal of A1.
+    ordering.
     """
 
     L: sp.csr_matrix
@@ -70,7 +70,6 @@ class TransformedSystem:
     bhat: np.ndarray
     A0: sp.csr_matrix
     A1: sp.csr_matrix
-    D1: np.ndarray
     layout: DofLayout
 
 
@@ -389,11 +388,10 @@ def transform(A: sp.csr_matrix, b: np.ndarray, L: sp.csr_matrix,
     n0 = layout.N0
     A0 = Ahat[:n0, :n0].tocsr()
     A1 = Ahat[n0:, n0:].tocsr()
-    D1 = A1.diagonal().copy()
-    if D1.size and D1.min() <= 0.0:
+    if A1.shape[0] and A1.diagonal().min() <= 0.0:
         raise ValueError(
             "non-positive diagonal in the strip block; assembled system is "
             "not positive definite (check penalty parameters)")
-    return TransformedSystem(L=L, Ahat=Ahat, bhat=bhat, A0=A0, A1=A1, D1=D1,
+    return TransformedSystem(L=L, Ahat=Ahat, bhat=bhat, A0=A0, A1=A1,
                              layout=layout)
 

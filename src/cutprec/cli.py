@@ -86,7 +86,7 @@ def _cmd_cond(args) -> int:
     for label, A, B in (("kappa2(Ahat)", tsys.Ahat, None),
                         ("kappa(DA^-1 Ahat)", tsys.Ahat, DA),
                         ("kappa(D1^-1 A1)", tsys.A1,
-                         sp.diags(tsys.D1).tocsr())):
+                         sp.diags(tsys.A1.diagonal()).tocsr())):
         est = estimate_condition(A, B=B, method=method)
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "

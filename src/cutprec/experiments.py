@@ -34,15 +34,14 @@ class ManufacturedSolution:
 
     u(points, side) evaluates the exact solution; u_and_grad(points, side)
     returns it together with its gradient from one evaluation of the shared
-    factors; f(points) is the volume load.  g is the boundary datum in the
-    shape the matching assembler expects: per-side box values for the
-    interface problem, a single-argument trace for the fictitious domain.
+    factors; f(points) is the volume load.  u is also the boundary datum:
+    per-side box values for the interface problem, the trace on the
+    sphere (side defaults to 1) for the fictitious domain.
     """
 
     u: callable
     u_and_grad: callable
     f: callable
-    g: callable
 
 
 def _cubic_parts(pts, x0):
@@ -89,12 +88,12 @@ def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution
                 (_cubic_gradient(xh) * (E - 1.0)[:, None]
                  - 2.0 * (p * E)[:, None] * xh) / alphas[side])
 
-    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0), g=u)
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0))
 
 
 def fictitious_solution(x0) -> ManufacturedSolution:
     """One-sided solution u = (3 xh_1^2 xh_2 - xh_2^3) exp(1-|xh|^2) with
-    load f = u (18 - 4|xh|^2); g is the trace of u on the sphere."""
+    load f = u (18 - 4|xh|^2)."""
     x0 = np.asarray(x0, dtype=float)
 
     def u(pts, side=1):
@@ -106,8 +105,19 @@ def fictitious_solution(x0) -> ManufacturedSolution:
         return p * E, E[:, None] * (_cubic_gradient(xh)
                                     - 2.0 * p[:, None] * xh)
 
-    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0),
-                                g=lambda pts: u(pts))
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0))
+
+
+def _fits(value, like) -> bool:
+    """Whether a JSON value can stand for a config field whose default is
+    like: a list for a tuple, a number for a float, else the same type."""
+    if isinstance(like, tuple):
+        return isinstance(value, list) and all(_fits(v, like[0])
+                                               for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(like, float)
+                      else type(like))
 
 
 @dataclass(frozen=True)
@@ -153,13 +163,18 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold one JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        for key in ("x0", "deltas", "preconditioners"):
-            if key in data:
-                data[key] = tuple(data[key])
+        for key, value in data.items():
+            if not _fits(value, cls.__dataclass_fields__[key].default):
+                raise ValueError(f"config key {key!r} has the wrong type: "
+                                 f"{value!r}")
+            if isinstance(value, list):
+                data[key] = tuple(value)
         return cls(**data)
 
 
@@ -219,15 +234,15 @@ class StudyResult:
         return out
 
 
-def _expand_side_values(mesh, layout, y, side, lift):
+def _expand_side_values(layout, y, side, lift):
     """Vertex values of the side restriction of the solved function.
 
-    y is the side-block coefficient vector; eliminated box-boundary slots
-    are filled from the Dirichlet lift.
+    y is the side-block coefficient vector; the other vertices keep their
+    value in lift, the side's Dirichlet lift.
     """
     dof = layout.v1_dof if side == 1 else layout.v2_dof
     verts = layout.v1_vertices if side == 1 else layout.v2_vertices
-    vals = lift[:, side - 1].copy()
+    vals = lift.copy()
     vals[verts] = y[dof[verts]]
     return vals
 
@@ -271,16 +286,15 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
     grads = mesh.gradients
     acc = [0.0, 0.0]
     if layout.problem == INTERFACE:
-        lift = dirichlet_values(mesh, sol.g)
-        vals1 = _expand_side_values(mesh, layout, y, 1, lift)
-        vals2 = _expand_side_values(mesh, layout, y, 2, lift)
+        lift = dirichlet_values(mesh, sol.u)
+        vals1 = _expand_side_values(layout, y, 1, lift[:, 0])
+        vals2 = _expand_side_values(layout, y, 2, lift[:, 1])
         _accumulate_full(mesh, grads, cutinfo.minus1, vals1, sol, 1, acc)
         _accumulate_full(mesh, grads, cutinfo.minus2, vals2, sol, 2, acc)
         _accumulate_cut(mesh, grads, cutinfo, vals1, sol, 1, acc)
         _accumulate_cut(mesh, grads, cutinfo, vals2, sol, 2, acc)
     else:
-        vals1 = np.zeros(mesh.n_vertices)
-        vals1[layout.v1_vertices] = y[layout.v1_dof[layout.v1_vertices]]
+        vals1 = _expand_side_values(layout, y, 1, np.zeros(mesh.n_vertices))
         _accumulate_full(mesh, grads, cutinfo.minus1, vals1, sol, 1, acc)
         _accumulate_cut(mesh, grads, cutinfo, vals1, sol, 1, acc)
     l2 = float(np.sqrt(acc[0]))
@@ -307,10 +321,10 @@ def _assemble(mesh, x0, config: ExperimentConfig):
     coeffs = config.coefficients()
     if config.problem == INTERFACE:
         sol = interface_solution(x0, config.alpha1, config.alpha2)
-        A, b = assemble_interface(mesh, cutinfo, layout, coeffs, sol.f, sol.g)
+        A, b = assemble_interface(mesh, cutinfo, layout, coeffs, sol.f, sol.u)
     else:
         sol = fictitious_solution(x0)
-        A, b = assemble_fd(mesh, cutinfo, layout, coeffs, sol.f, sol.g)
+        A, b = assemble_fd(mesh, cutinfo, layout, coeffs, sol.f, sol.u)
     return cutinfo, sol, transform(A, b, build_L(layout), layout)
 
 
@@ -349,17 +363,18 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
 
     iterations = {}
     first_solution = None
+    blocks = {}  # block solvers shared by this system's preconditioners
     for kind in config.preconditioners:
         with _located(f"{kind} set-up", level, delta):
             P = make_preconditioner(kind, tsys, hierarchy=hierarchy,
-                                    active_sets=active)
+                                    active_sets=active, blocks=blocks)
         with _located(f"{kind} solve", level, delta):
             xhat, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=config.tol,
                             max_iter=config.max_iter)
         iterations[kind] = rep.iterations
         if first_solution is None:
             first_solution = xhat
-        del P  # free its factors before the next preconditioner is built
+    del P, blocks  # free every factor before kappa and the error norms
 
     with _located("condition estimate", level, delta):
         est = estimate_condition(tsys.Ahat, method=cond_method(level))

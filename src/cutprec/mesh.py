@@ -313,6 +313,8 @@ class MeshHierarchy:
     @classmethod
     def build(cls, max_level: int, n_per_axis: int = 4,
               box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))) -> "MeshHierarchy":
+        if max_level < 0:
+            raise ValueError(f"level must be nonnegative, got {max_level}")
         levels, parents = [build_initial_mesh(n_per_axis, box)], []
         for _ in range(max_level):
             fine, mids = refine_uniform(levels[-1])

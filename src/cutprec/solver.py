@@ -47,8 +47,6 @@ class SolveReport:
 class DirectSolve:
     """Exact solve through a sparse LU factorization."""
 
-    kind = "Direct"
-
     def __init__(self, M: sp.spmatrix):
         try:
             self._lu = spla.splu(sp.csc_matrix(M))
@@ -211,8 +209,6 @@ class GeometricMultigrid:
     prolongations the apply degenerates to a direct solve.
     """
 
-    kind = "MG"
-
     def __init__(self, A_fine: sp.spmatrix, prolongations, cycles: int = 3):
         if cycles < 1:
             raise ValueError("cycle count must be positive")
@@ -261,8 +257,13 @@ class BlockPreconditioner:
 
 
 def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
-                        active_sets=None):
+                        active_sets=None, blocks: dict = None):
     """Construct one of the study preconditioners for a transformed system.
+
+    A block preconditioner pairs two of four block solvers: exact A0 and
+    A1, strip SGS on A1 and multigrid on A0.  Each is built on first need
+    into blocks, a dict that one system's preconditioners share (a fresh
+    one if not given), so each block is set up once per system.
 
     The strip block takes two SGS sweeps for the interface problem and
     three for the fictitious domain; a single sweep leaves the strip solve
@@ -273,20 +274,24 @@ def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind == KIND_SGS:
         return SymmetricGaussSeidel(tsys.Ahat)
-    sweeps = 3 if tsys.layout.problem == FICTITIOUS else 2
-    n0 = tsys.A0.shape[0]
-    if kind == KIND_BLOCK_EXACT:
-        return BlockPreconditioner(kind, DirectSolve(tsys.A0),
-                                   DirectSolve(tsys.A1), n0)
-    strip = SymmetricGaussSeidel(tsys.A1, sweeps=sweeps)
-    if kind == KIND_BLOCK_DIAG_SGS:
-        return BlockPreconditioner(kind, DirectSolve(tsys.A0), strip, n0)
-    if hierarchy is None or active_sets is None:
+    if kind == KIND_BLOCK_MG_SGS and None in (hierarchy, active_sets):
         raise ValueError("multigrid preconditioner needs the mesh hierarchy "
                          "and active dof sets")
-    mg = GeometricMultigrid(tsys.A0, build_prolongations(hierarchy,
-                                                         active_sets))
-    return BlockPreconditioner(kind, mg, strip, n0)
+    sweeps = 3 if tsys.layout.problem == FICTITIOUS else 2
+    build = {"A0 exact": lambda: DirectSolve(tsys.A0),
+             "A1 exact": lambda: DirectSolve(tsys.A1),
+             "A1 SGS": lambda: SymmetricGaussSeidel(tsys.A1, sweeps=sweeps),
+             "A0 MG": lambda: GeometricMultigrid(
+                 tsys.A0, build_prolongations(hierarchy, active_sets))}
+    pair = {KIND_BLOCK_EXACT: ("A0 exact", "A1 exact"),
+            KIND_BLOCK_DIAG_SGS: ("A0 exact", "A1 SGS"),
+            KIND_BLOCK_MG_SGS: ("A0 MG", "A1 SGS")}[kind]
+    blocks = {} if blocks is None else blocks
+    for name in pair:
+        if name not in blocks:
+            blocks[name] = build[name]()
+    return BlockPreconditioner(kind, blocks[pair[0]], blocks[pair[1]],
+                               tsys.A0.shape[0])
 
 
 @dataclass

@@ -164,7 +164,8 @@ def test_criterion_6_spectral_equivalence(interface_study, delta_sweep):
         if (lvl, d) in studied:
             kda[lvl, d] = pencil_kappa(
                 t.Ahat, sp.block_diag([t.A0, t.A1], format="csr"), lvl)
-        kd1[lvl, d] = pencil_kappa(t.A1, sp.diags(t.D1).tocsr(), lvl)
+        kd1[lvl, d] = pencil_kappa(t.A1, sp.diags(t.A1.diagonal()).tocsr(),
+                                   lvl)
     lower_bounds = [f"{name} {row_name(*key)}"
                     for name, ests in (("DA", kda), ("D1", kd1))
                     for key, e in ests.items() if not e.converged]
@@ -210,7 +211,7 @@ def test_criterion_7_oracle_equivalences(interface_study):
     layout = build_dof_layout(build_index_sets(mesh, info))
     sol = interface_solution(x0, config.alpha1, config.alpha2)
     A, _ = assemble_interface(mesh, info, layout, config.coefficients(),
-                              sol.f, sol.g)
+                              sol.f, sol.u)
     rng = np.random.default_rng(7)
     rel = 0.0
     for _ in range(20):

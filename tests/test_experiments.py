@@ -6,6 +6,7 @@ bundles; the study drivers run at levels 0-2 where everything is cheap.
 
 import argparse
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -99,10 +100,9 @@ def test_fd_solution_matches_symbolic(symbolic_bundle):
     gr = np.stack(np.broadcast_arrays(*gref(*cols)), axis=1)
     assert np.allclose(grad, gr, atol=1e-12)
     assert np.allclose(sol.f(pts), -lref(*cols), atol=1e-10)
-    assert np.allclose(sol.g(pts), sol.u(pts), atol=1e-14)
 
 
-def affine_solution(problem):
+def affine_solution():
     c = np.array([0.3, -0.7, 0.2])
 
     def u(pts, side=1):
@@ -111,9 +111,8 @@ def affine_solution(problem):
     def u_and_grad(pts, side=1):
         return u(pts), np.broadcast_to(c, (pts.shape[0], 3)).copy()
 
-    g = u if problem == INTERFACE else (lambda pts: u(pts))
     return ManufacturedSolution(u=u, u_and_grad=u_and_grad,
-                                f=lambda pts: np.zeros(pts.shape[0]), g=g)
+                                f=lambda pts: np.zeros(pts.shape[0]))
 
 
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
@@ -122,7 +121,7 @@ def test_error_norms_affine_exact(problem):
     mesh = MeshHierarchy.build(0).levels[0]
     cutinfo = build_cut_info(mesh, SphereLevelSet(center=X0))
     layout = build_dof_layout(build_index_sets(mesh, cutinfo, problem))
-    sol = affine_solution(problem)
+    sol = affine_solution()
     y = np.zeros(layout.dim)
     y[layout.v1_dof[layout.v1_vertices]] = sol.u(
         mesh.vertices[layout.v1_vertices], 1)
@@ -179,6 +178,24 @@ def test_config_roundtrip_and_validation(tmp_path):
             ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_level", 1.0), ("max_level", True), ("tol", "1e-6"),
+    ("deltas", 0.01), ("deltas", [0.0, "0.01"]), ("preconditioners", "SGS"),
+    ("preconditioners", [1]), ("output_dir", None), ("problem", 0)])
+def test_config_file_rejects_wrong_types(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_file(path)
+
+
+def test_config_file_takes_integers_for_floats(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"x0": [0, 0, 1], "gamma": 20, "tol": 1}))
+    cfg = ExperimentConfig.from_file(path)
+    assert (cfg.x0, cfg.gamma, cfg.tol) == ((0, 0, 1), 20, 1)
+
+
 # removed config fields with the one value each was ever run with
 REMOVED_KEYS = {"base_order": 4, "alpha_bar_rule": "harmonic",
                 "nitsche_length_rule": None, "ghost_length_rule": "global",
@@ -233,6 +250,27 @@ def test_row_failure_names_delta(failing_factorization):
                        match=r"BlockDiagSGS set-up failed at level 0, "
                              r"delta 0.05"):
         run_study(cfg, deltas=True)
+
+
+def test_study_row_factors_each_block_once(monkeypatch):
+    """A row factors A0, A1 and the multigrid coarse operator once each
+    (the A0 factor serves BlockExact and BlockDiagSGS) and frees every
+    factor before its condition estimate."""
+    made, at_kappa = [], []
+    init = solver.DirectSolve.__init__
+
+    def counted(self, M):
+        init(self, M)
+        made.append(weakref.ref(self))
+
+    def estimate(*args, **kwargs):
+        at_kappa.append((len(made), sum(r() is not None for r in made)))
+        return estimate_condition(*args, **kwargs)
+
+    monkeypatch.setattr(solver.DirectSolve, "__init__", counted)
+    monkeypatch.setattr(experiments, "estimate_condition", estimate)
+    run_study(ExperimentConfig(max_level=1))
+    assert at_kappa == [(3, 0), (6, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +412,18 @@ def test_cli_config_file_with_overrides(tmp_path):
 def test_cli_rejects_bad_parameters(capsys):
     assert main(["interface-study", "--gamma", "-1.0"]) == 1
     assert "gamma" in capsys.readouterr().err
+    assert main(["cond", "--level", "-1"]) == 1
+    assert "level must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, named", [
+    ({"x0": 5}, "'x0'"), ({"max_level": "1"}, "'max_level'"),
+    (5, "JSON object")])
+def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, content,
+                                                 named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(content))
+    assert main(["interface-study", "--config", str(path), "--max-level",
+                 "0", "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

@@ -451,13 +451,39 @@ def test_block_diag_sgs_equals_exact_for_diagonal_strip():
     A0 = random_spd(12, seed=16)
     d1 = np.linspace(1.0, 3.0, 8)
     A1 = sp.diags(d1).tocsr()
-    tsys = SimpleNamespace(A0=A0, A1=A1, D1=d1,
+    tsys = SimpleNamespace(A0=A0, A1=A1,
                            Ahat=sp.block_diag((A0, A1), format="csr"),
                            layout=SimpleNamespace(problem=INTERFACE))
     exact = make_preconditioner("BlockExact", tsys)
     mixed = make_preconditioner("BlockDiagSGS", tsys)
     r = np.random.default_rng(17).standard_normal(20)
     assert np.allclose(mixed.apply(r), exact.apply(r), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_shared_block_solvers_match_preconditioners_built_alone(hierarchy2,
+                                                                problem):
+    """Preconditioners drawn from one shared set of block solvers, in
+    either build order, run PCG bit for bit as each one built alone."""
+    tsys = build_system(ExperimentConfig(problem=problem), level=1)
+    sub = hierarchy2.truncated(1)
+    active = multigrid_active_sets(sub, problem)
+
+    def solve(kind, blocks=None):
+        P = make_preconditioner(kind, tsys, hierarchy=sub,
+                                active_sets=active, blocks=blocks)
+        return pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6)
+
+    alone = {kind: solve(kind) for kind in PRECONDITIONER_KINDS}
+    for order in (PRECONDITIONER_KINDS, PRECONDITIONER_KINDS[::-1]):
+        blocks = {}
+        for kind in order:
+            (x, rep), (x_ref, rep_ref) = solve(kind, blocks), alone[kind]
+            assert np.array_equal(x, x_ref), (problem, kind)
+            assert np.array_equal(rep.residuals, rep_ref.residuals), \
+                (problem, kind)
+        # exact A0 and A1, strip SGS and multigrid, each built once
+        assert sorted(blocks) == ["A0 MG", "A0 exact", "A1 SGS", "A1 exact"]
 
 
 def test_make_preconditioner_validation(interface_systems):
