@@ -25,6 +25,9 @@ from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
+# cut elements per block of the cut-element load quadrature
+CUT_LOAD_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ProblemCoefficients:
@@ -77,10 +80,13 @@ class _SystemAccumulator:
     """COO triplet buffer with symmetric elimination of prescribed dofs.
 
     Local blocks carry global dof ids, -1 marking eliminated slots whose
-    prescribed values (lift) move to the right-hand side.
+    prescribed values (lift) move to the right-hand side.  Triplet indices
+    are kept as int32, the index type scipy gives the matrix anyway.
     """
 
     def __init__(self, ndof: int):
+        if ndof > np.iinfo(np.int32).max:
+            raise ValueError(f"{ndof} dofs do not fit int32 indices")
         self.ndof = ndof
         self._rows = []
         self._cols = []
@@ -95,8 +101,8 @@ class _SystemAccumulator:
         rows = np.broadcast_to(dofs[:, :, None], (m, k, k))
         cols = np.broadcast_to(dofs[:, None, :], (m, k, k))
         keep = free[:, :, None] & free[:, None, :]
-        self._rows.append(rows[keep])
-        self._cols.append(cols[keep])
+        self._rows.append(rows[keep].astype(np.int32))
+        self._cols.append(cols[keep].astype(np.int32))
         self._vals.append(local[keep])
         if not free.all():
             if lift is None:
@@ -110,17 +116,21 @@ class _SystemAccumulator:
         np.add.at(self.b, dofs[free], vals[free])
 
     def matrix(self) -> sp.csr_matrix:
-        if self._rows:
-            rows = np.concatenate(self._rows)
-            cols = np.concatenate(self._cols)
-            vals = np.concatenate(self._vals)
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0)
+        """The summed matrix; releases the triplets, leaves b alone."""
+        rows = _take_all(self._rows, np.int32)
+        cols = _take_all(self._cols, np.int32)
+        vals = _take_all(self._vals, float)
         A = sp.coo_matrix((vals, (rows, cols)),
                           shape=(self.ndof, self.ndof)).tocsr()
         A.sort_indices()
         return A
+
+
+def _take_all(pieces: list, dtype) -> np.ndarray:
+    """Concatenate the pieces and empty the list, freeing them."""
+    out = np.concatenate(pieces) if pieces else np.zeros(0, dtype)
+    pieces.clear()
+    return out
 
 
 def element_diameters(verts: np.ndarray) -> np.ndarray:
@@ -222,27 +232,34 @@ def _add_full_loads(acc, mesh, sel, f, vdof):
     acc.add_load(bloc, vdof[mesh.tets[sel]])
 
 
-def cut_points(mesh: Mesh, cutinfo: CutInfo, grads, side: int):
-    """Volume quadrature of the cut elements on one side.
+def cut_point_blocks(mesh: Mesh, cutinfo: CutInfo, grads, side: int,
+                     size: int):
+    """Volume quadrature of the cut elements on one side, in blocks of size
+    consecutive cut elements.
 
-    Returns the points, their weights, the element of each point and the
-    point's barycentric coordinates in that element, shape (n, 4).
+    Yields per block the points, their weights, the element of each point
+    and the point's barycentric coordinates in that element, shape (n, 4).
     """
     if side == 1:
         pts, w, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
     else:
         pts, w, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
-    tids = cutinfo.cut_tets[np.repeat(np.arange(cutinfo.n_cut), np.diff(off))]
-    lam = np.einsum("pix,px->pi", grads[tids],
-                    pts - mesh.vertices[mesh.tets[tids, 0]])
-    lam[:, 0] += 1.0
-    return pts, w, tids, lam
+    for first in range(0, cutinfo.n_cut, size):
+        stop = min(first + size, cutinfo.n_cut)
+        span = slice(off[first], off[stop])
+        tids = cutinfo.cut_tets[np.repeat(np.arange(first, stop),
+                                          np.diff(off[first:stop + 1]))]
+        lam = np.einsum("pix,px->pi", grads[tids],
+                        pts[span] - mesh.vertices[mesh.tets[tids, 0]])
+        lam[:, 0] += 1.0
+        yield pts[span], w[span], tids, lam
 
 
 def _add_cut_loads(acc, mesh, cutinfo, grads, side, f, vdof):
-    pts, w, tids, lam = cut_points(mesh, cutinfo, grads, side)
-    fv = np.asarray(f(pts), dtype=float)
-    acc.add_load((w * fv)[:, None] * lam, vdof[mesh.tets[tids]])
+    for pts, w, tids, lam in cut_point_blocks(mesh, cutinfo, grads, side,
+                                              CUT_LOAD_BLOCK):
+        fv = np.asarray(f(pts), dtype=float)
+        acc.add_load((w * fv)[:, None] * lam, vdof[mesh.tets[tids]])
 
 
 def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
@@ -288,13 +305,13 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                liftvals[:, 0])
     _add_ghost(acc, mesh, cutinfo, grads, 2, coeffs, layout.v2_dof,
                liftvals[:, 1])
+    A = acc.matrix()
 
     _add_full_loads(acc, mesh, cutinfo.minus1, f, layout.v1_dof)
     _add_full_loads(acc, mesh, cutinfo.minus2, f, layout.v2_dof)
     _add_cut_loads(acc, mesh, cutinfo, grads, 1, f, layout.v1_dof)
     _add_cut_loads(acc, mesh, cutinfo, grads, 2, f, layout.v2_dof)
-
-    return acc.matrix(), acc.b
+    return A, acc.b
 
 
 def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
@@ -335,11 +352,11 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
 
     _add_ghost(acc, mesh, cutinfo, grads, 1, coeffs, layout.v1_dof,
                None)
+    A = acc.matrix()
 
     _add_full_loads(acc, mesh, cutinfo.minus1, f, layout.v1_dof)
     _add_cut_loads(acc, mesh, cutinfo, grads, 1, f, layout.v1_dof)
-
-    return acc.matrix(), acc.b
+    return A, acc.b
 
 
 def _split_columns(layout: DofLayout):

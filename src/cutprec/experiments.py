@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
-                       assemble_interface, build_L, cut_points,
+                       assemble_interface, build_L, cut_point_blocks,
                        dirichlet_values, transform)
 from .geometry import (SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
                        build_cut_info, classify)
@@ -26,6 +26,8 @@ from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
 
 # dense eigensolves up to this level, Lanczos above
 DENSE_MAX_LEVEL = 1
+# elements per block of the error-norm quadrature
+NORM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -250,30 +252,42 @@ def _expand_side_values(layout, y, side, lift):
 def _accumulate_full(mesh, grads, sel, vals, sol, side, acc):
     if sel.size == 0:
         return
-    verts = mesh.tets[sel]
-    coords = mesh.vertices[verts]
-    pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, coords)
-    flat = pts.reshape(-1, 3)
-    ue, ge = sol.u_and_grad(flat, side)
-    ue = ue.reshape(sel.size, -1)
-    ge = ge.reshape(sel.size, -1, 3)
-    uh = np.einsum("qi,mi->mq", TET_RULE_LAM, vals[verts])
-    gh = np.einsum("mix,mi->mx", grads[sel], vals[verts])
     w = mesh.volumes[sel, None] * TET_RULE_W[None, :]
-    acc[0] += float(np.sum(w * (ue - uh) ** 2))
-    diff = ge - gh[:, None, :]
-    acc[1] += float(np.sum(w * np.einsum("mqx,mqx->mq", diff, diff)))
+    err_u = np.empty_like(w)  # squared errors at each quadrature point
+    err_g = np.empty_like(w)
+    for start in range(0, sel.size, NORM_BLOCK):
+        blk = sel[start:start + NORM_BLOCK]
+        rows = slice(start, start + blk.size)
+        verts = mesh.tets[blk]
+        pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, mesh.vertices[verts])
+        ue, ge = sol.u_and_grad(pts.reshape(-1, 3), side)
+        uh = np.einsum("qi,mi->mq", TET_RULE_LAM, vals[verts])
+        gh = np.einsum("mix,mi->mx", grads[blk], vals[verts])
+        err_u[rows] = (ue.reshape(blk.size, -1) - uh) ** 2
+        diff = ge.reshape(blk.size, -1, 3) - gh[:, None, :]
+        err_g[rows] = np.einsum("mqx,mqx->mq", diff, diff)
+    acc[0] += float(np.sum(w * err_u))
+    acc[1] += float(np.sum(w * err_g))
 
 
 def _accumulate_cut(mesh, grads, cutinfo, vals, sol, side, acc):
-    pts, w, tids, lam = cut_points(mesh, cutinfo, grads, side)
-    nodal = vals[mesh.tets[tids]]
-    uh = np.einsum("pi,pi->p", lam, nodal)
-    ue, ge = sol.u_and_grad(pts, side)
-    gh = np.einsum("pix,pi->px", grads[tids], nodal)
-    acc[0] += float(w @ (ue - uh) ** 2)
-    diff = ge - gh
-    acc[1] += float(w @ np.einsum("px,px->p", diff, diff))
+    w = cutinfo.vw1 if side == 1 else cutinfo.vw2
+    err_u = np.empty_like(w)  # squared errors at each quadrature point
+    err_g = np.empty_like(w)
+    done = 0
+    for pts, _, tids, lam in cut_point_blocks(mesh, cutinfo, grads, side,
+                                              NORM_BLOCK):
+        rows = slice(done, done + tids.size)
+        done += tids.size
+        nodal = vals[mesh.tets[tids]]
+        uh = np.einsum("pi,pi->p", lam, nodal)
+        ue, ge = sol.u_and_grad(pts, side)
+        gh = np.einsum("pix,pi->px", grads[tids], nodal)
+        err_u[rows] = (ue - uh) ** 2
+        diff = ge - gh
+        err_g[rows] = np.einsum("px,px->p", diff, diff)
+    acc[0] += float(w @ err_u)
+    acc[1] += float(w @ err_g)
 
 
 def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:

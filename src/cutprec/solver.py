@@ -378,7 +378,9 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
                 break
         prev = (lo, hi)
         beta[j] = b
-        V[k], BV[k] = w / b, bw / b
+        V[k] = w / b
+        if B is not None:
+            BV[k] = bw / b
     return lo, hi, converged or k == n, k
 
 

@@ -1,0 +1,212 @@
+"""Memory of assembly and error norms: int32 triplets built into the matrix
+before the loads, cut-element loads and error-norm quadrature in blocks of
+elements.
+
+None of it may change a number, so each is compared bit for bit with the
+full-size code it replaced, kept here as the oracle, and the level-2 peaks
+it was made for are bounded (tracemalloc).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from cutprec import assembly, experiments
+from cutprec.assembly import _SystemAccumulator, assemble_interface
+from cutprec.experiments import ExperimentConfig, error_norms, \
+    interface_solution
+from cutprec.geometry import TET_RULE_LAM, TET_RULE_W, SphereLevelSet, \
+    build_cut_info
+from cutprec.mesh import MeshHierarchy
+from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout, \
+    build_index_sets
+
+MB = 1e6
+
+
+class OracleAccumulator:
+    """The accumulator before int32 triplets: int64 pieces, all alive until
+    matrix() concatenates them."""
+
+    def __init__(self, ndof: int):
+        self.ndof = ndof
+        self._rows = []
+        self._cols = []
+        self._vals = []
+        self.b = np.zeros(ndof)
+
+    def add_local(self, local, dofs, lift=None):
+        m, k = dofs.shape
+        if m == 0:
+            return
+        free = dofs >= 0
+        rows = np.broadcast_to(dofs[:, :, None], (m, k, k))
+        cols = np.broadcast_to(dofs[:, None, :], (m, k, k))
+        keep = free[:, :, None] & free[:, None, :]
+        self._rows.append(rows[keep])
+        self._cols.append(cols[keep])
+        self._vals.append(local[keep])
+        if not free.all():
+            if lift is None:
+                raise ValueError("eliminated dof without prescribed value")
+            drop = free[:, :, None] & ~free[:, None, :]
+            contrib = local * lift[:, None, :]
+            np.add.at(self.b, rows[drop], -contrib[drop])
+
+    def add_load(self, vals, dofs):
+        free = dofs >= 0
+        np.add.at(self.b, dofs[free], vals[free])
+
+    def matrix(self) -> sp.csr_matrix:
+        if self._rows:
+            rows = np.concatenate(self._rows)
+            cols = np.concatenate(self._cols)
+            vals = np.concatenate(self._vals)
+        else:
+            rows = cols = np.zeros(0, dtype=np.int64)
+            vals = np.zeros(0)
+        A = sp.coo_matrix((vals, (rows, cols)),
+                          shape=(self.ndof, self.ndof)).tocsr()
+        A.sort_indices()
+        return A
+
+
+def oracle_accumulate_full(mesh, grads, sel, vals, sol, side, acc):
+    """Full-element error terms over all elements at once."""
+    if sel.size == 0:
+        return
+    verts = mesh.tets[sel]
+    coords = mesh.vertices[verts]
+    pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, coords)
+    flat = pts.reshape(-1, 3)
+    ue, ge = sol.u_and_grad(flat, side)
+    ue = ue.reshape(sel.size, -1)
+    ge = ge.reshape(sel.size, -1, 3)
+    uh = np.einsum("qi,mi->mq", TET_RULE_LAM, vals[verts])
+    gh = np.einsum("mix,mi->mx", grads[sel], vals[verts])
+    w = mesh.volumes[sel, None] * TET_RULE_W[None, :]
+    acc[0] += float(np.sum(w * (ue - uh) ** 2))
+    diff = ge - gh[:, None, :]
+    acc[1] += float(np.sum(w * np.einsum("mqx,mqx->mq", diff, diff)))
+
+
+def oracle_cut_points(mesh, cutinfo, grads, side):
+    """Volume quadrature of all cut elements on one side at once."""
+    if side == 1:
+        pts, w, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
+    else:
+        pts, w, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
+    tids = cutinfo.cut_tets[np.repeat(np.arange(cutinfo.n_cut), np.diff(off))]
+    lam = np.einsum("pix,px->pi", grads[tids],
+                    pts - mesh.vertices[mesh.tets[tids, 0]])
+    lam[:, 0] += 1.0
+    return pts, w, tids, lam
+
+
+def oracle_add_cut_loads(acc, mesh, cutinfo, grads, side, f, vdof):
+    pts, w, tids, lam = oracle_cut_points(mesh, cutinfo, grads, side)
+    fv = np.asarray(f(pts), dtype=float)
+    acc.add_load((w * fv)[:, None] * lam, vdof[mesh.tets[tids]])
+
+
+def oracle_accumulate_cut(mesh, grads, cutinfo, vals, sol, side, acc):
+    """Cut-element error terms over all cut points at once."""
+    pts, w, tids, lam = oracle_cut_points(mesh, cutinfo, grads, side)
+    nodal = vals[mesh.tets[tids]]
+    uh = np.einsum("pi,pi->p", lam, nodal)
+    ue, ge = sol.u_and_grad(pts, side)
+    gh = np.einsum("pix,pi->px", grads[tids], nodal)
+    acc[0] += float(w @ (ue - uh) ** 2)
+    diff = ge - gh
+    acc[1] += float(w @ np.einsum("px,px->p", diff, diff))
+
+
+def assert_same_csr(A, B):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(A, part), getattr(B, part)
+        assert a.dtype == b.dtype, part
+        assert np.array_equal(a, b), part
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_matches_full_size_oracles(problem, monkeypatch):
+    config = ExperimentConfig(problem=problem)
+    mesh = MeshHierarchy.build(1).finest
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly, "_SystemAccumulator", OracleAccumulator)
+        patch.setattr(assembly, "_add_cut_loads", oracle_add_cut_loads)
+        _, _, oracle = experiments._assemble(mesh, config.x0, config)
+    block = 5
+    monkeypatch.setattr(assembly, "CUT_LOAD_BLOCK", block)
+    monkeypatch.setattr(experiments, "NORM_BLOCK", block)
+    cutinfo, sol, tsys = experiments._assemble(mesh, config.x0, config)
+    sizes = (cutinfo.minus1.size, cutinfo.minus2.size, cutinfo.n_cut)
+    assert all(n > 2 * block for n in sizes)
+    assert any(n % block for n in sizes)  # a ragged last block
+    for name in ("Ahat", "A0", "A1", "L"):
+        assert_same_csr(getattr(tsys, name), getattr(oracle, name))
+    assert np.array_equal(tsys.bhat, oracle.bhat)
+
+    y = tsys.L @ spla.spsolve(tsys.Ahat.tocsc(), tsys.bhat)
+    blocked = error_norms(mesh, cutinfo, tsys.layout, y, sol)
+    monkeypatch.setattr(experiments, "_accumulate_full",
+                        oracle_accumulate_full)
+    monkeypatch.setattr(experiments, "_accumulate_cut",
+                        oracle_accumulate_cut)
+    whole = error_norms(mesh, cutinfo, tsys.layout, y, sol)
+    assert blocked.l2 == whole.l2
+    assert blocked.h1_semi == whole.h1_semi
+    assert blocked.h1_full == whole.h1_full
+
+
+def test_accumulator_rejects_dofs_beyond_int32():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2147483648 dofs"):
+            _SystemAccumulator(2**31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MB
+
+
+@pytest.fixture(scope="module")
+def interface2():
+    config = ExperimentConfig()
+    mesh = MeshHierarchy.build(2).finest
+    cutinfo = build_cut_info(mesh, SphereLevelSet(center=config.x0))
+    layout = build_dof_layout(build_index_sets(mesh, cutinfo, INTERFACE))
+    mesh.gradients  # cached per mesh, not part of either peak
+    sol = interface_solution(config.x0, config.alpha1, config.alpha2)
+    return config, mesh, cutinfo, layout, sol
+
+
+def traced_peak(fn, *args):
+    """Peak traced memory above what was live when fn started, in MB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / MB
+
+
+def test_level2_assembly_peak(interface2):
+    # full-size int64 triplets alive through matrix(): 79 MB
+    config, mesh, cutinfo, layout, sol = interface2
+    peak = traced_peak(assemble_interface, mesh, cutinfo, layout,
+                       config.coefficients(), sol.f, sol.u)
+    assert peak < 50.0
+
+
+def test_level2_error_norms_peak(interface2):
+    # side-2 full-element pass over all elements at once: 40 MB
+    config, mesh, cutinfo, layout, sol = interface2
+    y = np.linspace(-1.0, 1.0, layout.dim)
+    peak = traced_peak(error_norms, mesh, cutinfo, layout, y, sol)
+    assert peak < 25.0
