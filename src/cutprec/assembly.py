@@ -47,6 +47,10 @@ class ProblemCoefficients:
     beta: float = 0.1
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2", "gamma", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("diffusion coefficients must be positive")
         if self.gamma <= 0:

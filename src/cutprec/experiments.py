@@ -147,10 +147,19 @@ class ExperimentConfig:
             raise ValueError("levels must be nonnegative")
         if len(self.x0) != 3:
             raise ValueError("x0 must have three components")
+        if not self.deltas:
+            raise ValueError("deltas must not be empty")
+        for name in ("x0", "deltas", "tol"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("invalid solver controls")
         if not self.preconditioners:
             raise ValueError("at least one preconditioner required")
+        if len(set(self.preconditioners)) < len(self.preconditioners):
+            raise ValueError("preconditioners must not repeat, got "
+                             f"{list(self.preconditioners)}")
         unknown = set(self.preconditioners) - set(PRECONDITIONER_KINDS)
         if unknown:
             raise ValueError(f"unknown preconditioners {sorted(unknown)}")

@@ -3,7 +3,10 @@
 Provides preconditioned conjugate gradients with the preconditioned-residual
 stopping rule, symmetric Gauss-Seidel sweeps, a geometric multigrid V-cycle
 built on the nested mesh hierarchy, the four preconditioners used in the
-solver studies, and eigenvalue/condition diagnostics (dense or Lanczos).
+solver studies, and eigenvalue/condition diagnostics (dense, or Lanczos
+with partial reorthogonalization: a full Gram-Schmidt pass only when the
+estimated loss of orthogonality exceeds sqrt(eps), and one bisection for
+an extreme Ritz value per step).
 """
 
 from __future__ import annotations
@@ -314,28 +317,25 @@ def _dense_extremes(A, B=None):
     return float(ev[0]), float(ev[-1])
 
 
-def _tridiagonal_extremes(d, e):
-    """Smallest and largest eigenvalue of the symmetric tridiagonal matrix
-    with diagonal d and off-diagonal e, by bisection on those two only."""
-    k = len(d)
-    if k == 1:
-        return float(d[0]), float(d[0])
-    lo, hi = (sla.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                   select_range=(i, i), check_finite=False)[0]
-              for i in (0, k - 1))
-    return float(lo), float(hi)
-
-
 def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     """Extreme eigenvalues of B^{-1}A by Lanczos in the B inner product;
     B=None means the identity.
 
-    Each step applies the three-term recurrence and then one full classical
-    Gram-Schmidt pass against the whole basis in the B inner product, as
-    two matrix-vector products with the stored basis V and BV = B V.  The
-    extreme Ritz values are checked every step; the run stops when both
-    change by less than rtol (relative).  Returns (lam_min, lam_max,
-    converged, steps).
+    Partial reorthogonalization (Simon, Math. Comp. 42, 1984): each step
+    applies the three-term recurrence and advances the omega recurrence,
+    an O(j) estimate of the B inner products of the new vector with the
+    basis, from alpha, beta and an eps |T| rounding term.  Only when an
+    estimate exceeds sqrt(eps) does a full classical Gram-Schmidt pass in
+    the B inner product (two matrix-vector products with the stored basis
+    V and BV = B V) run, on that vector and on the next one.  The basis
+    stays semi-orthogonal, which keeps the Ritz values exact to working
+    precision.
+
+    The run stops when both extreme Ritz values change by less than rtol
+    (relative) in one step.  Each step bisects for the smallest one (one
+    LAPACK stebz call, as scipy's eigh_tridiagonal makes it); the largest
+    one, at this step and the one before, is evaluated only once the
+    smallest has passed.  Returns (lam_min, lam_max, converged, steps).
     """
     n = A.shape[0]
     if budget is None:
@@ -348,12 +348,40 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     BV = np.empty_like(V) if B is not None else V  # B V; V itself for B=I
     alpha = np.empty(budget)
     beta = np.empty(budget)
+    stebz = sla.get_lapack_funcs("stebz", (alpha,))
+    ritz = {}  # (steps, largest) -> extreme Ritz value
+
+    def ritz_value(k, largest):
+        """The smallest or largest eigenvalue of T_k, by bisection."""
+        if (k, largest) not in ritz:
+            if k == 1:
+                ritz[k, largest] = float(alpha[0])
+            else:
+                # eigh_tridiagonal's arguments: by 1-based index, tol 0
+                i = k if largest else 1
+                m, w, _, _, info = stebz(alpha[:k], beta[:k - 1], 2, 0.0,
+                                         1.0, i, i, 0.0, "E")
+                if info or m != 1:
+                    raise np.linalg.LinAlgError(
+                        f"stebz failed on T_{k} (info {info})")
+                ritz[k, largest] = float(w[0])
+        return ritz[k, largest]
+
+    def settled(k, largest):
+        now, before = ritz_value(k, largest), ritz_value(k - 1, largest)
+        return abs(now - before) / max(abs(now), 1e-300) < rtol
+
+    eps = np.finfo(float).eps
+    omega = np.zeros(budget + 1)  # <v_j, v_i>_B estimates, i <= j
+    omega_prev = np.zeros(budget + 1)  # the same for v_{j-1}
+    omega[0] = 1.0
+    tnorm = 0.0
+    reorthogonalize_next = False
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     bv = B @ v if B is not None else v
     nrm = np.sqrt(v @ bv)
     V[0], BV[0] = v / nrm, bv / nrm
-    prev = None
     converged = False
     for j in range(budget):
         k = j + 1
@@ -363,25 +391,37 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
         w -= alpha[j] * V[j]
         if j > 0:
             w -= beta[j - 1] * V[j - 1]
-        w -= V[:k].T @ (BV[:k] @ w)
         bw = B @ w if B is not None else w
         b = float(np.sqrt(max(w @ bw, 0.0)))
-        lo, hi = _tridiagonal_extremes(alpha[:k], beta[:j])
+        tnorm = max(tnorm, abs(alpha[j]) + b + (beta[j - 1] if j else 0.0))
+        if b > 1e-14:
+            # omega_{j+1,i} for i < j from omega_j and omega_{j-1}
+            t = (alpha[:j] - alpha[j]) * omega[:j] + beta[:j] * omega[1:k]
+            if j > 0:
+                t[1:] += beta[:j - 1] * omega[:j - 1]
+                t -= beta[j - 1] * omega_prev[:j]
+            t += np.copysign(eps * tnorm, t)
+            omega_prev, omega = omega, omega_prev
+            omega[:j] = t / b
+            omega[j], omega[k] = eps, 1.0
+            if reorthogonalize_next or np.max(np.abs(omega[:j]),
+                                              initial=0.0) > np.sqrt(eps):
+                reorthogonalize_next = not reorthogonalize_next
+                w -= V[:k].T @ (BV[:k] @ w)
+                bw = B @ w if B is not None else w
+                b = float(np.sqrt(max(w @ bw, 0.0)))
+                omega[:k] = eps
         if b <= 1e-14:  # invariant subspace exhausted: exact extremes
             converged = True
             break
-        if j >= 2:
-            dlo = abs(lo - prev[0]) / max(abs(lo), 1e-300)
-            dhi = abs(hi - prev[1]) / max(abs(hi), 1e-300)
-            if max(dlo, dhi) < rtol:
-                converged = True
-                break
-        prev = (lo, hi)
+        if j >= 2 and settled(k, False) and settled(k, True):
+            converged = True
+            break
         beta[j] = b
         V[k] = w / b
         if B is not None:
             BV[k] = bw / b
-    return lo, hi, converged or k == n, k
+    return ritz_value(k, False), ritz_value(k, True), converged or k == n, k
 
 
 def estimate_condition(A, B=None, *, method: str, budget: int = None,
@@ -390,9 +430,12 @@ def estimate_condition(A, B=None, *, method: str, budget: int = None,
     (A, B) when B is given (i.e. of B^{-1}A with both operators SPD).
 
     method "dense" solves the full eigenproblem; "lanczos" runs the
-    three-term recurrence plus one full Gram-Schmidt pass in the B inner
-    product, for at most budget steps (default min(5n, 2000); at least 1).
-    A non-converged Lanczos result is a lower bound on kappa and is flagged.
+    three-term recurrence in the B inner product with partial
+    reorthogonalization (a full Gram-Schmidt pass only when the estimated
+    loss of orthogonality exceeds sqrt(eps)), for at most budget steps
+    (default min(5n, 2000); at least 1), checking one extreme Ritz value
+    by bisection per step and the other once the first has settled.  A
+    non-converged Lanczos result is a lower bound on kappa and is flagged.
     """
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")

@@ -416,6 +416,32 @@ def test_cli_rejects_bad_parameters(capsys):
     assert "level must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, content, named", [
+    (["interface-study", "--tol", "nan"], None, "tol must be finite"),
+    (["interface-study", "--gamma", "nan"], None, "gamma must be finite"),
+    (["interface-study", "--alpha2", "inf"], None, "alpha2 must be finite"),
+    (["interface-study", "--x0", "nan", "0", "0"], None,
+     "x0 must be finite"),
+    (["delta-sweep"], {"deltas": []}, "deltas must not be empty"),
+    (["delta-sweep"], {"deltas": [0.0, float("nan")]},
+     "deltas must be finite"),
+    (["interface-study", "--preconditioners", "SGS", "SGS"], None,
+     "preconditioners must not repeat")])
+def test_cli_rejects_unusable_config_values(tmp_path, capsys, argv, content,
+                                            named):
+    # each value is refused when the config is made, naming its field,
+    # before any system is built
+    if content is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--max-level", "0", "--output-dir",
+                        str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("content, named", [
     ({"x0": 5}, "'x0'"), ({"max_level": "1"}, "'max_level'"),
     (5, "JSON object")])

@@ -1,11 +1,14 @@
 """Krylov, smoother, multigrid and eigenvalue-estimate tests.
 
-Dense linear algebra on small matrices serves as the oracle throughout;
-the mesh-based cases run on levels 0-2 where direct solves are cheap.
+Dense linear algebra on small matrices serves as the oracle throughout,
+and Lanczos with full reorthogonalization as that of the partially
+reorthogonalized estimator; the mesh-based cases run on levels 0-2 where
+direct solves are cheap.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from types import SimpleNamespace
@@ -19,8 +22,8 @@ from cutprec.space import (FICTITIOUS, INTERFACE, build_dof_layout,
                            build_index_sets)
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
                             GeometricMultigrid, SymmetricGaussSeidel,
-                            build_prolongations, estimate_condition,
-                            make_preconditioner, pcg)
+                            _lanczos_extremes, build_prolongations,
+                            estimate_condition, make_preconditioner, pcg)
 
 X0 = np.array([0.001, 0.002, 0.003])
 
@@ -567,6 +570,103 @@ def test_lanczos_generalized_pencil_matches_dense(case, interface_systems):
     assert est.kappa == pytest.approx(ref.kappa, rel=rel)
     if steps is not None:
         assert est.iterations == steps
+
+
+def _oracle_tridiagonal_extremes(d, e):
+    k = len(d)
+    if k == 1:
+        return float(d[0]), float(d[0])
+    lo, hi = (sla.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                   select_range=(i, i), check_finite=False)[0]
+              for i in (0, k - 1))
+    return float(lo), float(hi)
+
+
+def oracle_lanczos_extremes(A, B, budget, seed, rtol=1e-9):
+    """The estimator with full reorthogonalization: one classical
+    Gram-Schmidt pass in the B inner product on every step, and both
+    extreme Ritz values from eigh_tridiagonal on every step."""
+    n = A.shape[0]
+    if budget is None:
+        budget = min(5 * n, 2000)
+    budget = min(budget, n)
+    binv = DirectSolve(B) if B is not None else None
+    V = np.empty((budget + 1, n))
+    BV = np.empty_like(V) if B is not None else V
+    alpha = np.empty(budget)
+    beta = np.empty(budget)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    bv = B @ v if B is not None else v
+    nrm = np.sqrt(v @ bv)
+    V[0], BV[0] = v / nrm, bv / nrm
+    prev = None
+    converged = False
+    for j in range(budget):
+        k = j + 1
+        av = A @ V[j]
+        w = binv.apply(av) if binv is not None else av.copy()
+        alpha[j] = av @ V[j]
+        w -= alpha[j] * V[j]
+        if j > 0:
+            w -= beta[j - 1] * V[j - 1]
+        w -= V[:k].T @ (BV[:k] @ w)
+        bw = B @ w if B is not None else w
+        b = float(np.sqrt(max(w @ bw, 0.0)))
+        lo, hi = _oracle_tridiagonal_extremes(alpha[:k], beta[:j])
+        if b <= 1e-14:
+            converged = True
+            break
+        if j >= 2:
+            dlo = abs(lo - prev[0]) / max(abs(lo), 1e-300)
+            dhi = abs(hi - prev[1]) / max(abs(hi), 1e-300)
+            if max(dlo, dhi) < rtol:
+                converged = True
+                break
+        prev = (lo, hi)
+        beta[j] = b
+        V[k] = w / b
+        if B is not None:
+            BV[k] = bw / b
+    return lo, hi, converged or k == n, k
+
+
+@pytest.fixture(scope="module")
+def level1_systems():
+    """Level-1 systems of both problems, built once per sphere centre."""
+    cache = {}
+
+    def get(problem, x0):
+        if (problem, x0) not in cache:
+            cache[problem, x0] = build_system(
+                ExperimentConfig(problem=problem, x0=x0), level=1)
+        return cache[problem, x0]
+
+    return get
+
+
+# Partial reorthogonalization keeps the basis semi-orthogonal, so the Ritz
+# values, the step count and the flag match full reorthogonalization; the
+# extremes agree to rounding (at most 1.5e-13 relative on levels 1-2).
+@pytest.mark.parametrize("operator", ["Ahat", "DA^-1 Ahat", "D1^-1 A1"])
+@pytest.mark.parametrize("x0", [(0.001, 0.002, 0.003), (0.01, 0.02, 0.03),
+                                (0.05, 0.1, 0.15)])
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_lanczos_matches_full_reorthogonalization(level1_systems, problem,
+                                                  x0, operator):
+    tsys = level1_systems(problem, x0)
+    A, B = {"Ahat": (tsys.Ahat, None),
+            "DA^-1 Ahat": (tsys.Ahat,
+                           sp.block_diag([tsys.A0, tsys.A1], format="csr")),
+            "D1^-1 A1": (tsys.A1, sp.diags(tsys.A1.diagonal()).tocsr())
+            }[operator]
+    lo, hi, converged, steps = _lanczos_extremes(A, B, None, 0)
+    ref_lo, ref_hi, ref_converged, ref_steps = \
+        oracle_lanczos_extremes(A, B, None, 0)
+    assert (steps, converged) == (ref_steps, ref_converged)
+    assert lo == pytest.approx(ref_lo, rel=1e-12, abs=0)
+    assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0)
+    assert hi / lo == pytest.approx(ref_hi / ref_lo, rel=1e-12, abs=0)
 
 
 def test_estimate_condition_identity_and_validation():
