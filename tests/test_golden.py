@@ -1,15 +1,26 @@
-"""Bytewise regression of the study tables at levels 0-1.
+"""Bytewise regression of the study tables at levels 0-1 and of the
+level-2 `cond` output.
 
 The CSVs under golden/ were written by `cutprec` before the study runners
 were merged into one driver; any change to the numerics, the row order or
 the formatting shows here.  The tables hold kappa to 4 and errors to 7
 significant digits, far above the run-to-run noise of the BLAS.
+
+cond_l2.txt is the stdout of `cutprec cond --level 2` from SuperLU exact
+solves, before the banded Cholesky.  It reaches the Lanczos pencils and
+their step counts, which no study table at levels 0-1 does.  The BLAS
+thread count moves kappa in the 13th digit, enough to move a step count,
+so it runs in a child process with one BLAS thread.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cutprec
 from cutprec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,3 +36,14 @@ def test_golden_tables(argv, name, tmp_path):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 0
     assert (tmp_path / f"{name}.csv").read_bytes() == \
         (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_golden_cond_output():
+    src = str(Path(cutprec.__file__).parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "cutprec.cli", "cond",
+                          "--level", "2"],
+                         env=env, capture_output=True, check=True)
+    assert run.stdout == (GOLDEN / "cond_l2.txt").read_bytes()

@@ -1,10 +1,11 @@
-"""Memory of assembly and error norms: int32 triplets built into the matrix
-before the loads, cut-element loads and error-norm quadrature in blocks of
-elements.
+"""Memory of assembly, error norms and exact solves: int32 triplets built
+into the matrix before the loads, cut-element loads and error-norm
+quadrature in blocks of elements, and one band per connected component in
+the banded Cholesky.
 
-None of it may change a number, so each is compared bit for bit with the
-full-size code it replaced, kept here as the oracle, and the level-2 peaks
-it was made for are bounded (tracemalloc).
+None of the blocking may change a number, so each is compared bit for bit
+with the full-size code it replaced, kept here as the oracle, and the
+level-2 peaks it was made for are bounded (tracemalloc).
 """
 
 import tracemalloc
@@ -16,11 +17,12 @@ import scipy.sparse.linalg as spla
 
 from cutprec import assembly, experiments
 from cutprec.assembly import _SystemAccumulator, assemble_interface
-from cutprec.experiments import ExperimentConfig, error_norms, \
-    interface_solution
+from cutprec.experiments import ExperimentConfig, build_system, \
+    error_norms, interface_solution
 from cutprec.geometry import TET_RULE_LAM, TET_RULE_W, SphereLevelSet, \
     build_cut_info
 from cutprec.mesh import MeshHierarchy
+from cutprec.solver import DirectSolve
 from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout, \
     build_index_sets
 
@@ -210,3 +212,26 @@ def test_level2_error_norms_peak(interface2):
     y = np.linspace(-1.0, 1.0, layout.dim)
     peak = traced_peak(error_norms, mesh, cutinfo, layout, y, sol)
     assert peak < 25.0
+
+
+@pytest.fixture(scope="module")
+def interface2_A0():
+    return build_system(ExperimentConfig(), level=2).A0
+
+
+def test_level2_direct_solve_peak(interface2_A0):
+    # the RCM band of A0 (bandwidth 419) is 11.3 MB; a copy of it made for
+    # LAPACK would double that
+    peak = traced_peak(DirectSolve, interface2_A0)
+    assert peak < 15.0
+
+
+def test_direct_solve_band_per_component_peak(interface2_A0):
+    # one band for both blocks would store the tridiagonal block at A0's
+    # bandwidth: 79 MB, against 11.3 + 0.3 MB for a band per component
+    n = 20_000
+    T = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0),
+                  np.full(n - 1, -1.0)], [-1, 0, 1])
+    peak = traced_peak(DirectSolve,
+                       sp.block_diag([interface2_A0, T], format="csr"))
+    assert peak < 20.0

@@ -1,9 +1,10 @@
 """Krylov, smoother, multigrid and eigenvalue-estimate tests.
 
 Dense linear algebra on small matrices serves as the oracle throughout,
-and Lanczos with full reorthogonalization as that of the partially
-reorthogonalized estimator; the mesh-based cases run on levels 0-2 where
-direct solves are cheap.
+Lanczos with full reorthogonalization as that of the partially
+reorthogonalized estimator, and SuperLU's LU as that of the banded
+Cholesky; the mesh-based cases run on levels 0-2 where direct solves are
+cheap.
 """
 
 import numpy as np
@@ -305,6 +306,74 @@ def test_direct_solve_singular_matrix_raises():
     M = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="factorization"):
         DirectSolve(M)
+
+
+def test_direct_solve_rejects_indefinite_matrix():
+    M = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="factorization failed: 2-th "
+                                         "leading minor"):
+        DirectSolve(M)
+
+
+def test_direct_solve_rejects_asymmetric_matrix():
+    # the band factor would read only the upper triangle
+    M = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match=r"not symmetric: max\|M - M\^T\| "
+                                         r"= 1\.000e\+00"):
+        DirectSolve(M)
+
+
+def oracle_direct_solve(M):
+    """The exact solve before banded Cholesky: SuperLU's LU with partial
+    pivoting, which needs neither symmetry nor definiteness."""
+    return spla.splu(sp.csc_matrix(M)).solve
+
+
+@pytest.fixture(scope="module")
+def exact_solve_matrices(hierarchy2):
+    """Every kind of matrix the program factors exactly, per problem and
+    level: both blocks, the D_A and D1 pencil matrices and the multigrid
+    coarse operator."""
+    cache = {}
+
+    def get(problem, level):
+        if (problem, level) not in cache:
+            t = build_system(ExperimentConfig(problem=problem), level=level)
+            sub = hierarchy2.truncated(level)
+            mg = GeometricMultigrid(t.A0, build_prolongations(
+                sub, multigrid_active_sets(sub, problem)))
+            cache[problem, level] = {
+                "A0": t.A0, "A1": t.A1,
+                "DA": sp.block_diag([t.A0, t.A1], format="csr"),
+                "D1": sp.diags(t.A1.diagonal()).tocsr(),
+                "MG coarse": mg.operators[0]}
+        return cache[problem, level]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ["A0", "A1", "DA", "D1", "MG coarse"])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_direct_solve_matches_superlu_oracle(exact_solve_matrices, problem,
+                                             level, name):
+    M = exact_solve_matrices(problem, level)[name]
+    r = np.random.default_rng(level).standard_normal(M.shape[0])
+    x, ref = DirectSolve(M).apply(r), oracle_direct_solve(M)(r)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_direct_solve_factors_each_component_alone(exact_solve_matrices,
+                                                   problem):
+    """The factor of block_diag(A0, A1) solves each block bit for bit as
+    the factor of that block alone."""
+    m = exact_solve_matrices(problem, 2)
+    n0 = m["A0"].shape[0]
+    r = np.random.default_rng(5).standard_normal(m["DA"].shape[0])
+    x = DirectSolve(m["DA"]).apply(r)
+    assert np.array_equal(x[:n0], DirectSolve(m["A0"]).apply(r[:n0]))
+    assert np.array_equal(x[n0:], DirectSolve(m["A1"]).apply(r[n0:]))
 
 
 def oracle_prolongations(hierarchy, active_sets):
