@@ -11,10 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import scipy.sparse as sp
-
-from .experiments import (ExperimentConfig, build_system, cond_method,
-                          run_study, write_tables)
+from .experiments import (ExperimentConfig, build_system, run_study,
+                          spectral_pencils, write_tables)
 from .solver import PRECONDITIONER_KINDS, estimate_condition
 from .space import FICTITIOUS, INTERFACE
 
@@ -72,22 +70,16 @@ def _cmd_study(args) -> int:
 
 def _cmd_cond(args) -> int:
     """Condition numbers of the solved operator and its block-diagonal
-    preconditioned variants at one level, each with its Lanczos step count
-    (0 for a dense estimate).  A Lanczos estimate that did not converge is
-    a lower bound and is marked as one."""
+    preconditioned variants at one level, each with its Lanczos step
+    count.  An estimate that did not converge is a lower bound and is
+    marked as one."""
     config = _config_from_args(args)
     level = config.max_level if args.level is None else args.level
     tsys = build_system(config, level=level)
-    method = cond_method(level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
-    print(f"problem={config.problem} level={level} N0={n0} N1={n1} "
-          f"method={method}")
-    DA = sp.block_diag([tsys.A0, tsys.A1], format="csr")
-    for label, A, B in (("kappa2(Ahat)", tsys.Ahat, None),
-                        ("kappa(DA^-1 Ahat)", tsys.Ahat, DA),
-                        ("kappa(D1^-1 A1)", tsys.A1,
-                         sp.diags(tsys.A1.diagonal()).tocsr())):
-        est = estimate_condition(A, B=B, method=method)
+    print(f"problem={config.problem} level={level} N0={n0} N1={n1}")
+    for label, (A, B) in spectral_pencils(tsys).items():
+        est = estimate_condition(A, B)
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "
               f"[{est.lam_min:.4e}, {est.lam_max:.4e}]  "

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
                        assemble_interface, build_L, cut_point_blocks,
@@ -24,8 +25,6 @@ from .solver import (PRECONDITIONER_KINDS, estimate_condition,
                      make_preconditioner, pcg)
 from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
 
-# dense eigensolves up to this level, Lanczos above
-DENSE_MAX_LEVEL = 1
 # elements per block of the error-norm quadrature
 NORM_BLOCK = 1024
 
@@ -201,8 +200,7 @@ class LevelResult:
     """One study row.
 
     kappa2_converged is False when kappa2 is a Lanczos lower bound, and
-    kappa2_steps counts the Lanczos steps (0 for a dense estimate); the
-    tables leave both out.
+    kappa2_steps counts the Lanczos steps; the tables leave both out.
     """
 
     level: int
@@ -326,10 +324,16 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
                       h1_full=float(np.sqrt(acc[0] + acc[1])))
 
 
-def cond_method(level: int) -> str:
-    """Condition estimate method for one level: dense eigenvalues up to
-    DENSE_MAX_LEVEL, Lanczos above."""
-    return "dense" if level <= DENSE_MAX_LEVEL else "lanczos"
+def spectral_pencils(tsys: TransformedSystem) -> dict:
+    """The operators whose conditioning `cutprec cond` reports, by label,
+    as (A, B) pairs for estimate_condition (B None is the identity): Ahat
+    alone, Ahat against the block diagonal D_A = diag(A0, A1), and the
+    strip block A1 against its diagonal D1."""
+    return {"kappa2(Ahat)": (tsys.Ahat, None),
+            "kappa(DA^-1 Ahat)": (
+                tsys.Ahat, sp.block_diag([tsys.A0, tsys.A1], format="csr")),
+            "kappa(D1^-1 A1)": (tsys.A1,
+                                sp.diags(tsys.A1.diagonal()).tocsr())}
 
 
 def _assemble(mesh, x0, config: ExperimentConfig):
@@ -400,7 +404,7 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
     del P, blocks  # free every factor before kappa and the error norms
 
     with _located("condition estimate", level, delta):
-        est = estimate_condition(tsys.Ahat, method=cond_method(level))
+        est = estimate_condition(tsys.Ahat)
     errors = error_norms(mesh, cutinfo, layout, tsys.L @ first_solution, sol)
     return LevelResult(level=level, h=mesh.h, N0=layout.N0, N1=layout.N1,
                        errors=errors, kappa2=est.kappa,

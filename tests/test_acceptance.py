@@ -12,10 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cutprec.experiments import (ExperimentConfig, build_system,
-                                 cond_method, interface_solution, run_study)
+                                 interface_solution, run_study,
+                                 spectral_pencils)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
@@ -117,10 +117,6 @@ def test_criterion_5_delta_robustness(delta_sweep):
     report(5, ok, "; ".join(parts) + " (limit 2)")
 
 
-def pencil_kappa(A, B, level):
-    return estimate_condition(A, B=B, method=cond_method(level))
-
-
 def row_name(level, delta):
     return f"l{level} " + ("x0" if delta is None else f"d{delta:.2f}")
 
@@ -160,12 +156,11 @@ def test_criterion_6_spectral_equivalence(interface_study, delta_sweep):
     kda, kd1 = {}, {}
     for lvl, d in studied + coarse:
         x0 = config.x0 if d is None else (d, 2 * d, 3 * d)
-        t = build_system(replace(config, x0=x0), lvl)
+        pencils = spectral_pencils(
+            build_system(replace(config, x0=x0), lvl))
         if (lvl, d) in studied:
-            kda[lvl, d] = pencil_kappa(
-                t.Ahat, sp.block_diag([t.A0, t.A1], format="csr"), lvl)
-        kd1[lvl, d] = pencil_kappa(t.A1, sp.diags(t.A1.diagonal()).tocsr(),
-                                   lvl)
+            kda[lvl, d] = estimate_condition(*pencils["kappa(DA^-1 Ahat)"])
+        kd1[lvl, d] = estimate_condition(*pencils["kappa(D1^-1 A1)"])
     lower_bounds = [f"{name} {row_name(*key)}"
                     for name, ests in (("DA", kda), ("D1", kd1))
                     for key, e in ests.items() if not e.converged]

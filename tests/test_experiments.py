@@ -18,7 +18,7 @@ from cutprec.experiments import (ExperimentConfig, ManufacturedSolution,
                                  StudyResult, LevelResult, ErrorNorms,
                                  build_system, error_norms,
                                  fictitious_solution, interface_solution,
-                                 run_study, write_tables)
+                                 run_study, spectral_pencils, write_tables)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
@@ -297,24 +297,19 @@ def test_delta_zero_run_deterministic(tmp_path):
     assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
 
-def test_study_row_contents(tiny_interface_study, monkeypatch):
+def test_study_row_contents(tiny_interface_study):
     row = tiny_interface_study.rows[0]
     assert (row.N0, row.N1) == (27, 27)
     assert set(row.iterations) == set(tiny_interface_study.config.
                                       preconditioners)
     assert all(n > 0 for n in row.iterations.values())
     assert row.kappa2 > 1.0 and row.kappa2_converged
-    assert row.kappa2_steps == 0  # level 0 takes the dense estimate
-    config = ExperimentConfig(max_level=0, preconditioners=("SGS",))
-    tsys = build_system(config)
+    tsys = build_system(ExperimentConfig(max_level=0))
     assert tsys.Ahat.shape == (54, 54)
+    est = estimate_condition(tsys.Ahat)
+    assert row.kappa2 == est.kappa
+    assert row.kappa2_steps == est.iterations > 0
     assert "kappa2_steps" not in tiny_interface_study.row_dicts()[0]
-
-    monkeypatch.setattr(experiments, "DENSE_MAX_LEVEL", -1)
-    lanczos = run_study(config).rows[0]
-    est = estimate_condition(tsys.Ahat, method="lanczos")
-    assert lanczos.kappa2_steps == est.iterations > 0
-    assert lanczos.kappa2_converged
 
 
 def test_delta_sweep_kappa_same_order_of_magnitude():
@@ -330,10 +325,10 @@ def test_ghost_penalty_controls_conditioning():
     # dropping the ghost penalty (gamma raised to keep Nitsche coercive)
     # sends the condition number far above the stabilized value
     stab = build_system(ExperimentConfig(max_level=2))
-    k_stab = estimate_condition(stab.Ahat, method="lanczos").kappa
+    k_stab = estimate_condition(stab.Ahat).kappa
     plain = build_system(ExperimentConfig(max_level=2, beta=0.0,
                                           gamma=100.0))
-    est = estimate_condition(plain.Ahat, method="lanczos", budget=300)
+    est = estimate_condition(plain.Ahat, budget=300)
     # exhausted budget yields a lower bound, enough for the comparison
     assert est.kappa >= k_stab
 
@@ -376,6 +371,19 @@ def test_cli_cond(capsys):
     assert "kappa(D1^-1 A1)" in out
 
 
+def test_cli_cond_prints_shared_pencils(capsys):
+    # each kappa line of `cond` is the estimate of the pencil of the same
+    # label from spectral_pencils, so the two cannot drift apart
+    assert main(["cond", "--level", "0"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("kappa")]
+    pencils = spectral_pencils(build_system(ExperimentConfig(), level=0))
+    assert [ln.split("=")[0].rstrip() for ln in lines] == list(pencils)
+    for ln, pencil in zip(lines, pencils.values()):
+        assert ln.split("=")[1].split()[0] == \
+            f"{estimate_condition(*pencil).kappa:.4e}"
+
+
 def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
     # each line gives the Lanczos step count after the eigenvalue range; an
     # unconverged estimate is a lower bound and says so after the count
@@ -388,7 +396,6 @@ def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
         return est
 
     monkeypatch.setattr("cutprec.cli.estimate_condition", unconverged)
-    monkeypatch.setattr(experiments, "DENSE_MAX_LEVEL", -1)
     assert main(["cond", "--max-level", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]

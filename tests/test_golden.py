@@ -7,7 +7,8 @@ the formatting shows here.  The tables hold kappa to 4 and errors to 7
 significant digits, far above the run-to-run noise of the BLAS.
 
 cond_l2.txt is the stdout of `cutprec cond --level 2` from SuperLU exact
-solves, before the banded Cholesky.  It reaches the Lanczos pencils and
+solves, before the banded Cholesky; only its header has changed since, when
+the estimator lost its `method=` field.  It reaches the Lanczos pencils and
 their step counts, which no study table at levels 0-1 does.  The BLAS
 thread count moves kappa in the 13th digit, enough to move a step count,
 so it runs in a child process with one BLAS thread.

@@ -16,7 +16,8 @@ from types import SimpleNamespace
 
 from cutprec.assembly import (ProblemCoefficients, assemble_interface,
                               build_L, transform)
-from cutprec.experiments import ExperimentConfig, build_system
+from cutprec.experiments import (ExperimentConfig, build_system,
+                                 spectral_pencils)
 from cutprec.geometry import SphereLevelSet, build_cut_info, classify
 from cutprec.mesh import MeshHierarchy
 from cutprec.space import (FICTITIOUS, INTERFACE, build_dof_layout,
@@ -342,10 +343,11 @@ def exact_solve_matrices(hierarchy2):
             sub = hierarchy2.truncated(level)
             mg = GeometricMultigrid(t.A0, build_prolongations(
                 sub, multigrid_active_sets(sub, problem)))
+            pencils = spectral_pencils(t)
             cache[problem, level] = {
                 "A0": t.A0, "A1": t.A1,
-                "DA": sp.block_diag([t.A0, t.A1], format="csr"),
-                "D1": sp.diags(t.A1.diagonal()).tocsr(),
+                "DA": pencils["kappa(DA^-1 Ahat)"][1],
+                "D1": pencils["kappa(D1^-1 A1)"][1],
                 "MG coarse": mg.operators[0]}
         return cache[problem, level]
 
@@ -604,6 +606,16 @@ def test_stopping_rule_is_relative(interface_systems):
     assert rep1.iterations == rep2.iterations
 
 
+def dense_extremes(A, B=None):
+    """Smallest and largest eigenvalue of A, or of the pencil (A, B), from
+    the full dense eigenproblem."""
+    if B is None:
+        ev = np.linalg.eigvalsh(A.toarray())
+    else:
+        ev = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    return float(ev[0]), float(ev[-1])
+
+
 # The level-1 interface cases run the operators the studies estimate, with
 # a non-diagonal B for the pencil; their step counts are pinned to those of
 # the earlier list-based recurrence with two modified Gram-Schmidt passes.
@@ -613,11 +625,11 @@ def test_lanczos_matches_dense_extremes(case, interface_systems):
         A, rel, steps = random_spd(200, seed=18), 1e-6, None
     else:
         A, rel, steps = interface_systems[1].Ahat, 1e-7, 209
-    ref = estimate_condition(A, method="dense")
-    est = estimate_condition(A, method="lanczos", seed=1)
+    lo, hi = dense_extremes(A)
+    est = estimate_condition(A, seed=1)
     assert est.converged
-    assert est.lam_min == pytest.approx(ref.lam_min, rel=rel)
-    assert est.lam_max == pytest.approx(ref.lam_max, rel=rel)
+    assert est.lam_min == pytest.approx(lo, rel=rel)
+    assert est.lam_max == pytest.approx(hi, rel=rel)
     if steps is not None:
         assert est.iterations == steps
 
@@ -629,14 +641,12 @@ def test_lanczos_generalized_pencil_matches_dense(case, interface_systems):
         B = sp.diags(np.linspace(0.5, 4.0, 150)).tocsr()
         rel, steps = 1e-6, None
     else:
-        tsys = interface_systems[1]
-        A = tsys.Ahat
-        B = sp.block_diag([tsys.A0, tsys.A1], format="csr")
+        A, B = spectral_pencils(interface_systems[1])["kappa(DA^-1 Ahat)"]
         rel, steps = 1e-7, 88
-    ref = estimate_condition(A, B=B, method="dense")
-    est = estimate_condition(A, B=B, method="lanczos", seed=2)
+    lo, hi = dense_extremes(A, B)
+    est = estimate_condition(A, B=B, seed=2)
     assert est.converged
-    assert est.kappa == pytest.approx(ref.kappa, rel=rel)
+    assert est.kappa == pytest.approx(hi / lo, rel=rel)
     if steps is not None:
         assert est.iterations == steps
 
@@ -717,18 +727,15 @@ def level1_systems():
 # Partial reorthogonalization keeps the basis semi-orthogonal, so the Ritz
 # values, the step count and the flag match full reorthogonalization; the
 # extremes agree to rounding (at most 1.5e-13 relative on levels 1-2).
-@pytest.mark.parametrize("operator", ["Ahat", "DA^-1 Ahat", "D1^-1 A1"])
+@pytest.mark.parametrize("label", ["kappa2(Ahat)", "kappa(DA^-1 Ahat)",
+                                   "kappa(D1^-1 A1)"],
+                         ids=["Ahat", "DA^-1 Ahat", "D1^-1 A1"])
 @pytest.mark.parametrize("x0", [(0.001, 0.002, 0.003), (0.01, 0.02, 0.03),
                                 (0.05, 0.1, 0.15)])
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_lanczos_matches_full_reorthogonalization(level1_systems, problem,
-                                                  x0, operator):
-    tsys = level1_systems(problem, x0)
-    A, B = {"Ahat": (tsys.Ahat, None),
-            "DA^-1 Ahat": (tsys.Ahat,
-                           sp.block_diag([tsys.A0, tsys.A1], format="csr")),
-            "D1^-1 A1": (tsys.A1, sp.diags(tsys.A1.diagonal()).tocsr())
-            }[operator]
+                                                  x0, label):
+    A, B = spectral_pencils(level1_systems(problem, x0))[label]
     lo, hi, converged, steps = _lanczos_extremes(A, B, None, 0)
     ref_lo, ref_hi, ref_converged, ref_steps = \
         oracle_lanczos_extremes(A, B, None, 0)
@@ -739,19 +746,14 @@ def test_lanczos_matches_full_reorthogonalization(level1_systems, problem,
 
 
 def test_estimate_condition_identity_and_validation():
-    est = estimate_condition(sp.eye(10, format="csr"), method="dense")
+    est = estimate_condition(sp.eye(10, format="csr"))
     assert est.kappa == pytest.approx(1.0)
-    assert est.method == "dense"
-    assert est.iterations == 0
-    with pytest.raises(ValueError, match="method"):
-        estimate_condition(sp.eye(4, format="csr"), method="power")
+    assert est.iterations == 1
     with pytest.raises(ValueError, match="positive definite"):
-        estimate_condition(sp.diags([-1.0, 1.0, 2.0]).tocsr(),
-                           method="dense")
+        estimate_condition(sp.diags([-1.0, 1.0, 2.0]).tocsr())
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"budget .*{budget}"):
-            estimate_condition(sp.eye(4, format="csr"), method="lanczos",
-                               budget=budget)
+            estimate_condition(sp.eye(4, format="csr"), budget=budget)
 
 
 def test_lanczos_exhausted_budget_is_flagged_lower_bound():
@@ -760,15 +762,16 @@ def test_lanczos_exhausted_budget_is_flagged_lower_bound():
     n = 100
     T = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0),
                   np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
-    ref = estimate_condition(T, method="dense")
-    est = estimate_condition(T, method="lanczos", budget=5)
+    lo, hi = dense_extremes(T)
+    est = estimate_condition(T, budget=5)
     assert not est.converged
-    assert est.lam_min >= ref.lam_min / 1.0001
-    assert est.lam_max <= ref.lam_max * 1.0001
-    assert est.kappa <= ref.kappa * 1.0001
+    assert est.lam_min >= lo / 1.0001
+    assert est.lam_max <= hi * 1.0001
+    assert est.kappa <= hi / lo * 1.0001
 
 
 def test_interface_condition_number_level1(interface_systems):
-    est = estimate_condition(interface_systems[1].Ahat, method="dense")
+    est = estimate_condition(interface_systems[1].Ahat)
+    assert est.converged
     ref = 9.79e2
     assert max(est.kappa / ref, ref / est.kappa) <= 2.0
