@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
-    ghost_facets
+    facet_normals, ghost_facets
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
@@ -207,18 +207,22 @@ def _surface_batches(mesh, cutinfo, grads):
 
 
 def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
+    """Ghost penalty beta h |F| [grad u . n][grad v . n] on the side's ghost
+    facets F.
+
+    The unit normal n of F is not oriented: negating n negates each jump d
+    exactly, so the products d_i d_j, and the penalty, are bitwise the same.
+    """
     if coeffs.beta == 0.0:
         return
-    fids = ghost_facets(mesh, cutinfo, side)
-    if fids.size == 0:
+    tets, triples = ghost_facets(mesh, cutinfo, side)
+    if tets.shape[0] == 0:
         return
-    fac = mesh.facets
-    t0 = fac.tets[fids, 0]
-    t1 = fac.tets[fids, 1]
-    n = fac.normals[fids]
+    n, areas = facet_normals(mesh, triples)
+    t0, t1 = tets[:, 0], tets[:, 1]
     d = np.concatenate([np.einsum("mix,mx->mi", grads[t0], n),
                         -np.einsum("mix,mx->mi", grads[t1], n)], axis=1)
-    scale = coeffs.beta * mesh.h * fac.areas[fids]
+    scale = coeffs.beta * mesh.h * areas
     local = scale[:, None, None] * d[:, :, None] * d[:, None, :]
     verts = np.concatenate([mesh.tets[t0], mesh.tets[t1]], axis=1)
     lift = None if liftvals is None else liftvals[verts]

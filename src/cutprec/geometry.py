@@ -11,7 +11,8 @@ tetrahedra, degree 4 on triangles) are mapped onto the pieces.
 All cut elements are processed at once, in two batches by sign pattern (one
 vertex against three, two against two): the cut points, pieces and mapped
 rules of a batch are array operations, scattered into flat per-element
-arrays in element order.
+arrays in element order.  The facets of the ghost penalty are found from
+the faces of the tets around the cut strip.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Mesh, p1_gradients
+from .mesh import Mesh, _unique_rows, p1_gradients
 
 NEG, CUT, POS = -1, 0, 1
 
 SNAP_FACTOR = 1e-12
+
+# Local vertex triples of the 4 faces of a tetrahedron.
+_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 def _tet_rule_reference() -> tuple[np.ndarray, np.ndarray]:
@@ -306,20 +310,43 @@ def build_cut_info(mesh: Mesh, phi) -> CutInfo:
                    kappa1=rules.vol1 / tot, **rules._asdict())
 
 
-def ghost_facets(mesh: Mesh, cutinfo: CutInfo, side: int) -> np.ndarray:
+def ghost_facets(mesh: Mesh, cutinfo: CutInfo,
+                 side: int) -> tuple[np.ndarray, np.ndarray]:
     """Interior facets whose two tets lie in the side's extended domain with
-    at least one of them cut."""
+    at least one of them cut.
+
+    Returns (tets, triples): the two tets of each facet, lower id first, and
+    its sorted vertex triple, facets in ascending triple order.  Both tets of
+    such a facet have at least 3 vertices on cut tets (the facet's own), so
+    only the faces of the side's tets with 3 or more such vertices are keyed,
+    and a keyed face owned by more than 2 tets is rejected.
+    """
     if side == 1:
         in_ext = cutinfo.tet_class <= CUT
     elif side == 2:
         in_ext = cutinfo.tet_class >= CUT
     else:
         raise ValueError("side must be 1 or 2")
-    ft = mesh.facets.tets
-    interior = ~mesh.facets.is_boundary
-    both_ext = np.zeros(mesh.facets.n_facets, dtype=bool)
-    both_ext[interior] = in_ext[ft[interior, 0]] & in_ext[ft[interior, 1]]
-    is_cut = cutinfo.tet_class == CUT
-    one_cut = np.zeros_like(both_ext)
-    one_cut[interior] = is_cut[ft[interior, 0]] | is_cut[ft[interior, 1]]
-    return np.flatnonzero(both_ext & one_cut)
+    marked = np.zeros(mesh.n_vertices, dtype=bool)
+    marked[mesh.tets[cutinfo.cut_tets]] = True
+    near = np.flatnonzero(in_ext & (marked[mesh.tets].sum(axis=1) >= 3))
+    faces = np.sort(mesh.tets[near][:, _TET_FACES], axis=2).reshape(-1, 3)
+    _, inverse, order = _unique_rows(faces, mesh.n_vertices)
+    sorted_ids = inverse[order]
+    if np.any(sorted_ids[2:] == sorted_ids[:-2]):
+        raise ValueError("nonconforming mesh: facet shared by more than 2 tets")
+    # the stable sort keeps the lower owner of each shared face first
+    pair = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    tets = near[np.stack([order[pair], order[pair + 1]], axis=1) // 4]
+    keep = np.any(cutinfo.tet_class[tets] == CUT, axis=1)
+    return tets[keep], faces[order[pair[keep]]]
+
+
+def facet_normals(mesh: Mesh,
+                  triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals, in no particular orientation, and areas of the
+    triangles with the given vertex triples."""
+    p = mesh.vertices[triples]
+    nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    nrm = np.linalg.norm(nvec, axis=1)
+    return nvec / nrm[:, None], 0.5 * nrm

@@ -6,6 +6,8 @@ Uniform refinement splits every tetrahedron into 8 children (red refinement:
 4 corner tetrahedra plus an octahedron cut along its shortest diagonal).
 Vertex coordinates are derived from integer lattice indices so that
 coordinates of coarse vertices reappear bitwise identically on finer levels.
+A mesh stores no facets: refinement keys the edges, and the ghost penalty
+keys only the faces near the cut strip (geometry.ghost_facets).
 """
 
 from __future__ import annotations
@@ -28,31 +30,6 @@ _OCT_EQUATORS = ((1, 2, 4, 3), (0, 2, 5, 3), (0, 1, 5, 4))
 
 
 @dataclass(frozen=True)
-class Facets:
-    """Facet connectivity of a tetrahedral mesh.
-
-    vertices: (nf, 3) sorted vertex triples.
-    tets: (nf, 2) adjacent tet ids; tets[:, 1] == -1 on the boundary.
-    normals: (nf, 3) unit normals, oriented from tets[:, 0] towards
-        tets[:, 1] (outward on the boundary).
-    areas: (nf,) triangle areas.
-    """
-
-    vertices: np.ndarray
-    tets: np.ndarray
-    normals: np.ndarray
-    areas: np.ndarray
-
-    @property
-    def n_facets(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def is_boundary(self) -> np.ndarray:
-        return self.tets[:, 1] < 0
-
-
-@dataclass(frozen=True)
 class Mesh:
     """Immutable conforming tetrahedral mesh.
 
@@ -71,15 +48,11 @@ class Mesh:
     lattice: np.ndarray
     lattice_n: int
     box: np.ndarray
-    facets: Facets = field(repr=False)
     volumes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for arr in (self.vertices, self.tets, self.boundary_vertex_flags,
                     self.lattice, self.box, self.volumes):
-            arr.setflags(write=False)
-        for arr in (self.facets.vertices, self.facets.tets,
-                    self.facets.normals, self.facets.areas):
             arr.setflags(write=False)
 
     @property
@@ -119,7 +92,9 @@ def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(rows: np.ndarray, n_vertices: int):
-    """Distinct rows of sorted vertex ids, through one exact int64 key per row.
+    """Distinct rows of sorted vertex ids, through one exact int64 key per row
+    (vertex pairs: the edges of refine_uniform; triples: the faces of
+    geometry.ghost_facets).
 
     Returns (uniq, inverse, order): uniq and inverse are those of
     np.unique(rows, axis=0, return_inverse=True), and order is the stable
@@ -146,49 +121,6 @@ def _coords_from_lattice(lattice: np.ndarray, n: int, box: np.ndarray) -> np.nda
     return lo + (hi - lo) * lattice / float(n)
 
 
-def build_facets(vertices: np.ndarray, tets: np.ndarray) -> Facets:
-    """Derive facet connectivity: vertex triples, adjacent tets, oriented normals.
-
-    Interior facet normals point from the lower to the higher adjacent tet
-    id; boundary normals point out of their single tet.
-    """
-    nt = tets.shape[0]
-    local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    faces = np.sort(tets[:, local], axis=2).reshape(-1, 3)
-    owners = np.repeat(np.arange(nt), 4)
-    uniq, inv, order = _unique_rows(faces, vertices.shape[0])
-    nf = uniq.shape[0]
-    counts = np.bincount(inv, minlength=nf)
-    if counts.max() > 2:
-        raise ValueError("nonconforming mesh: facet shared by more than 2 tets")
-    adj = np.full((nf, 2), -1, dtype=np.int64)
-    starts = np.zeros(nf + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    sorted_owners = owners[order]
-    adj[:, 0] = sorted_owners[starts[:-1]]
-    two = counts == 2
-    adj[two, 1] = sorted_owners[starts[:-1][two] + 1]
-    # keep the lower tet id first so normal orientation is deterministic
-    swap = two & (adj[:, 0] > adj[:, 1])
-    adj[swap] = adj[swap][:, ::-1]
-
-    p = vertices[uniq]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    nvec = np.cross(e1, e2)
-    nrm = np.linalg.norm(nvec, axis=1)
-    areas = 0.5 * nrm
-    normals = nvec / nrm[:, None]
-    # orient away from the first adjacent tet (towards the second / outward);
-    # sums over short axes are spelled out, in numpy's order but faster
-    x = vertices[tets]
-    opp = ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4.0)[adj[:, 0]]
-    centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-    wrong = np.einsum("fi,fi->f", normals, centroid - opp) < 0
-    normals[wrong] *= -1.0
-    return Facets(vertices=uniq, tets=adj, normals=normals, areas=areas)
-
-
 def _canonical_tet_order(lattice: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Order each tet's vertices by (coordinate sum, i, j, k) of their lattice
     indices.  On cube-path (Kuhn) tets this is the canonical path order, which
@@ -205,13 +137,12 @@ def _make_mesh(lattice: np.ndarray, n: int, box: np.ndarray,
     vertices = _coords_from_lattice(lattice, n, box)
     tets = _canonical_tet_order(lattice, tets)
     on_bnd = np.any((lattice == 0) | (lattice == n), axis=1)
-    facets = build_facets(vertices, tets)
     signed = _signed_volumes(vertices, tets)
     if np.any(signed == 0):
         raise ValueError("degenerate tetrahedron")
     return Mesh(vertices=vertices, tets=tets, level=level,
                 boundary_vertex_flags=on_bnd, lattice=lattice, lattice_n=n,
-                box=box, facets=facets, volumes=np.abs(signed))
+                box=box, volumes=np.abs(signed))
 
 
 def build_initial_mesh(n_per_axis: int, box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))) -> Mesh:

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cutprec import assembly
 from cutprec.assembly import (
     ProblemCoefficients,
     assemble_fd,
@@ -11,6 +12,7 @@ from cutprec.assembly import (
     dirichlet_values,
     transform,
 )
+from cutprec.experiments import ExperimentConfig, build_system
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy, p1_gradients
 from cutprec.space import (
@@ -19,7 +21,8 @@ from cutprec.space import (
     build_dof_layout,
     build_index_sets,
 )
-from test_geometry import split_cut_tet
+from test_geometry import reference_ghost_facets, split_cut_tet
+from test_mesh import reference_facets
 
 X0 = (0.001, 0.002, 0.003)
 
@@ -349,6 +352,38 @@ def test_damaged_cut_rules_rejected(interface1):
     with pytest.raises(ValueError):
         assemble_interface(mesh, broken, layout, ProblemCoefficients(), zero,
                            lambda pts, side: zero(pts))
+
+
+def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,
+                    liftvals):
+    """The ghost penalty on the full facet table, with its oriented normals
+    and its areas."""
+    if coeffs.beta == 0.0:
+        return
+    table = reference_facets(mesh.vertices, mesh.tets)
+    fids = reference_ghost_facets(table, cutinfo.tet_class, side)
+    t0, t1 = table.tets[fids, 0], table.tets[fids, 1]
+    n = table.normals[fids]
+    d = np.concatenate([np.einsum("mix,mx->mi", grads[t0], n),
+                        -np.einsum("mix,mx->mi", grads[t1], n)], axis=1)
+    scale = coeffs.beta * mesh.h * table.areas[fids]
+    local = scale[:, None, None] * d[:, :, None] * d[:, None, :]
+    verts = np.concatenate([mesh.tets[t0], mesh.tets[t1]], axis=1)
+    lift = None if liftvals is None else liftvals[verts]
+    acc.add_local(local, vdof[verts], lift)
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_ghost_penalty_matches_oriented_table(problem, monkeypatch):
+    # unoriented normals flip the sign of jumps, never of their products
+    config = ExperimentConfig(problem=problem)
+    got = build_system(config, level=2)
+    monkeypatch.setattr(assembly, "_add_ghost", table_add_ghost)
+    want = build_system(config, level=2)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.Ahat, part),
+                              getattr(want.Ahat, part)), part
+    assert np.array_equal(got.bhat, want.bhat)
 
 
 def test_dirichlet_values_layout():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutprec.mesh import MeshHierarchy, build_initial_mesh, p1_gradients
+from cutprec.mesh import Mesh, MeshHierarchy, build_initial_mesh, p1_gradients
 from cutprec.geometry import (
     CUT,
     NEG,
@@ -20,8 +20,10 @@ from cutprec.geometry import (
     build_cut_info,
     classify,
     cut_rules,
+    facet_normals,
     ghost_facets,
 )
+from test_mesh import reference_facets
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 X0 = (0.001, 0.002, 0.003)
@@ -400,31 +402,104 @@ def test_translation_robustness():
     assert np.allclose(np.sort(a.kappa1), np.sort(b.kappa1), atol=1e-9)
 
 
-def test_ghost_facets_definition():
-    phi = SphereLevelSet(center=X0)
-    mesh = MeshHierarchy.build(2).finest
-    ci = build_cut_info(mesh, phi)
-    for side in (1, 2):
-        fids = ghost_facets(mesh, ci, side)
-        assert fids.size > 0
-        in_ext = (ci.tet_class <= CUT) if side == 1 else (ci.tet_class >= CUT)
-        # brute-force re-derivation from the classification
-        expected = []
-        for f in range(mesh.facets.n_facets):
-            t0, t1 = mesh.facets.tets[f]
-            if t1 < 0:
-                continue
-            if in_ext[t0] and in_ext[t1] and (
-                    ci.tet_class[t0] == CUT or ci.tet_class[t1] == CUT):
-                expected.append(f)
-        assert np.array_equal(fids, np.array(expected))
+def reference_ghost_facets(table, tet_class, side):
+    """Ids of the ghost facets in the full facet table: interior facets whose
+    two tets lie in the side's extended domain, at least one of them cut."""
+    in_ext = (tet_class <= CUT) if side == 1 else (tet_class >= CUT)
+    t0, t1 = table.tets[:, 0], table.tets[:, 1]
+    interior = t1 >= 0
+    both_ext = interior & in_ext[t0] & in_ext[t1]
+    one_cut = (tet_class[t0] == CUT) | (tet_class[t1] == CUT)
+    return np.flatnonzero(both_ext & one_cut)
+
+
+@pytest.fixture(scope="module")
+def facet_tables():
+    """The meshes of levels 0-3 and their full facet tables."""
+    return [(mesh, reference_facets(mesh.vertices, mesh.tets))
+            for mesh in MeshHierarchy.build(3).levels]
+
+
+# the paper centre and two others at every level, and a sphere through the
+# box boundary, whose cut tets have boundary faces
+GHOST_CASES = [(level, centre) for level in range(4)
+               for centre in (X0, (0.05, 0.1, 0.15), (0.02, 0.04, 0.06))] \
+    + [(2, (0.8, 0.0, 0.0))]
+
+
+@pytest.mark.parametrize("side", (1, 2), ids=("side1", "side2"))
+@pytest.mark.parametrize("level, centre", GHOST_CASES,
+                         ids=[f"l{level}-{centre}" for level, centre
+                              in GHOST_CASES])
+def test_ghost_facets_definition(facet_tables, level, centre, side):
+    mesh, table = facet_tables[level]
+    ci = build_cut_info(mesh, SphereLevelSet(center=centre))
+    fids = reference_ghost_facets(table, ci.tet_class, side)
+    assert fids.size > 0
+    tets, triples = ghost_facets(mesh, ci, side)
+    assert np.array_equal(tets, table.tets[fids])
+    assert np.array_equal(triples, table.vertices[fids])
+    normals, areas = facet_normals(mesh, triples)
+    assert np.array_equal(areas, table.areas[fids])
+    flip = np.einsum("fi,fi->f", normals, table.normals[fids]) < 0
+    normals[flip] *= -1.0
+    assert np.array_equal(normals, table.normals[fids])
+    if centre[0] == 0.8:
+        on_box = table.tets[:, 1] < 0
+        assert np.any(ci.tet_class[table.tets[on_box, 0]] == CUT)
+
+
+def hand_mesh(vertices, tets):
+    """A Mesh of the given tets, which need not fill a box or conform."""
+    vertices = np.asarray(vertices, dtype=float)
+    tets = np.asarray(tets, dtype=np.int64)
+    e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
+    volumes = np.abs(np.einsum("ti,ti->t", e[:, 0],
+                               np.cross(e[:, 1], e[:, 2]))) / 6.0
+    nv = vertices.shape[0]
+    return Mesh(vertices=vertices, tets=tets, level=0,
+                boundary_vertex_flags=np.zeros(nv, dtype=bool),
+                lattice=np.zeros((nv, 3), dtype=np.int64), lattice_n=1,
+                box=np.array([[0.0, 0, 0], [2, 2, 2]]), volumes=volumes)
+
+
+# tet 0 has vertex 0 inside the sphere and the others outside; the tets
+# built on its face (1, 2, 3) lie outside
+HAND_VERTICES = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                 [2, 2, 2]]
+HAND_SPHERE = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=0.5)
+
+
+def test_ghost_facets_two_tets():
+    mesh = hand_mesh(HAND_VERTICES, [[0, 1, 2, 3], [1, 2, 3, 4]])
+    ci = build_cut_info(mesh, HAND_SPHERE)
+    assert ci.tet_class.tolist() == [CUT, POS]
+    tets, triples = ghost_facets(mesh, ci, 2)
+    assert tets.tolist() == [[0, 1]] and triples.tolist() == [[1, 2, 3]]
+    normals, areas = facet_normals(mesh, triples)
+    assert np.allclose(np.abs(normals), 3 ** -0.5, rtol=0, atol=1e-15)
+    assert areas[0] == pytest.approx(3 ** 0.5 / 2, rel=1e-15)
+    tets, triples = ghost_facets(mesh, ci, 1)
+    assert tets.shape == (0, 2) and triples.shape == (0, 3)
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        ghost_facets(mesh, ci, 3)
+
+
+def test_ghost_facets_reject_nonconforming_mesh():
+    # three tets on the face (1, 2, 3) of the cut tet
+    mesh = hand_mesh(HAND_VERTICES, [[0, 1, 2, 3], [1, 2, 3, 4],
+                                     [1, 2, 3, 5]])
+    ci = build_cut_info(mesh, HAND_SPHERE)
+    with pytest.raises(ValueError, match="nonconforming mesh"):
+        ghost_facets(mesh, ci, 2)
 
 
 def test_ghost_facets_empty_without_cuts():
     mesh = build_initial_mesh(2, ((0, 0, 0), (1, 1, 1)))
     ci = build_cut_info(mesh, SphereLevelSet(center=(50.0, 0, 0)))
-    assert ghost_facets(mesh, ci, 1).size == 0
-    assert ghost_facets(mesh, ci, 2).size == 0
+    for side in (1, 2):
+        tets, triples = ghost_facets(mesh, ci, side)
+        assert tets.shape == (0, 2) and triples.shape == (0, 3)
 
 
 def test_cut_fraction_bounds_derived_example():

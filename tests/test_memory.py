@@ -1,12 +1,14 @@
-"""Memory of assembly, error norms and exact solves: int32 triplets built
-into the matrix before the loads, cut-element loads and error-norm
-quadrature in blocks of elements, and one band per connected component in
-the banded Cholesky.
+"""Memory of the mesh build, the ghost lookup, assembly, error norms and
+exact solves: no facet table on any mesh, ghost facets keyed only near the
+cut strip, int32 triplets built into the matrix before the loads,
+cut-element loads and error-norm quadrature in blocks of elements, and one
+band per connected component in the banded Cholesky.
 
 None of the blocking may change a number, so each is compared bit for bit
-with the full-size code it replaced, kept here as the oracle, and the
-level-2 peaks it was made for are bounded (tracemalloc, plus the bands,
-which are mapped outside the traced heap).
+with the full-size code it replaced, kept here as the oracle (the facet
+table is in tests/test_mesh.py), and the level-2 peaks it was made for are
+bounded (tracemalloc, plus the bands, which are mapped outside the traced
+heap).
 """
 
 import tracemalloc
@@ -21,7 +23,7 @@ from cutprec.assembly import _SystemAccumulator, assemble_interface
 from cutprec.experiments import ExperimentConfig, build_system, \
     error_norms, interface_solution
 from cutprec.geometry import TET_RULE_LAM, TET_RULE_W, SphereLevelSet, \
-    build_cut_info
+    build_cut_info, ghost_facets
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import DirectSolve
 from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout, \
@@ -213,6 +215,18 @@ def test_level2_error_norms_peak(interface2):
     y = np.linspace(-1.0, 1.0, layout.dim)
     peak = traced_peak(error_norms, mesh, cutinfo, layout, y, sol)
     assert peak < 25.0
+
+
+def test_level2_mesh_build_peak():
+    # with a facet table on every level, the build peaked at 29.0 MB
+    assert traced_peak(MeshHierarchy.build, 2) < 15.0
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_level2_ghost_facets_peak(interface2, side):
+    # building the full facet table of the level-2 mesh peaked at 24.2 MB
+    _, mesh, cutinfo, _, _ = interface2
+    assert traced_peak(ghost_facets, mesh, cutinfo, side) < 5.0
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,12 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 import cutprec.mesh as mesh_module
 from cutprec.mesh import (
-    Facets,
     MeshHierarchy,
     _unique_rows,
-    build_facets,
     build_initial_mesh,
     p1_gradients,
     refine_uniform,
@@ -138,23 +138,18 @@ def test_mesh_deterministic():
 
 def test_facets_single_tet():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    tets = np.array([[0, 1, 2, 3]])
-    facets = build_facets(verts, tets)
-    assert facets.n_facets == 4
-    assert np.all(facets.is_boundary)
-    # outward orientation: normals point away from the centroid
-    centroid = verts.mean(axis=0)
-    mids = verts[facets.vertices].mean(axis=1)
-    assert np.all(np.einsum("fi,fi->f", facets.normals, mids - centroid) > 0)
+    facets = reference_facets(verts, np.array([[0, 1, 2, 3]]))
+    assert facets.vertices.tolist() == [[0, 1, 2], [0, 1, 3], [0, 2, 3],
+                                        [1, 2, 3]]
+    assert np.all(facets.tets == [[0, -1]])
 
 
 def test_facets_two_tets():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
                       [1, 1, 1]])
-    tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
-    facets = build_facets(verts, tets)
-    assert facets.n_facets == 7
-    interior = ~facets.is_boundary
+    facets = reference_facets(verts, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
+    assert facets.vertices.shape[0] == 7
+    interior = facets.tets[:, 1] >= 0
     assert np.count_nonzero(interior) == 1
     assert np.array_equal(facets.vertices[interior][0], [1, 2, 3])
     assert np.array_equal(facets.tets[interior][0], [0, 1])
@@ -169,45 +164,23 @@ def test_facet_count_against_bruteforce():
             seen.setdefault(key, []).append(t)
     n_bnd = sum(1 for v in seen.values() if len(v) == 1)
     n_int = sum(1 for v in seen.values() if len(v) == 2)
-    facets = mesh.facets
-    assert facets.n_facets == len(seen)
-    assert np.count_nonzero(facets.is_boundary) == n_bnd
-    assert np.count_nonzero(~facets.is_boundary) == n_int
+    facets = reference_facets(mesh.vertices, mesh.tets)
+    assert [tuple(f) for f in facets.vertices] == sorted(seen)
+    assert [sorted(t[t >= 0]) for t in facets.tets] == \
+        [seen[key] for key in sorted(seen)]
+    assert np.count_nonzero(facets.tets[:, 1] < 0) == n_bnd
     assert n_int == (4 * mesh.n_tets - n_bnd) // 2
-
-
-def test_facet_normals_interior_orientation():
-    mesh = build_initial_mesh(2, BOX)
-    facets = mesh.facets
-    interior = np.flatnonzero(~facets.is_boundary)
-    # lower tet id comes first and the normal points towards the second tet
-    t0 = facets.tets[interior]
-    assert np.all(t0[:, 0] < t0[:, 1])
-    c0 = mesh.vertices[mesh.tets[t0[:, 0]]].mean(axis=1)
-    c1 = mesh.vertices[mesh.tets[t0[:, 1]]].mean(axis=1)
-    dots = np.einsum("fi,fi->f", facets.normals[interior], c1 - c0)
-    assert np.all(dots > 0)
-
-
-def test_facet_areas_and_diameters():
-    mesh = build_initial_mesh(1, ((0, 0, 0), (1, 1, 1)))
-    # total boundary area of the unit cube is 6, each square face split in two
-    bnd = mesh.facets.is_boundary
-    assert mesh.facets.areas[bnd].sum() == pytest.approx(6.0, abs=1e-13)
-    p = mesh.vertices[mesh.facets.vertices]
-    edges = p - np.roll(p, 1, axis=1)
-    diameters = np.sqrt(np.max(np.sum(edges**2, axis=2), axis=1))
-    assert np.all(diameters >= np.sqrt(2) - 1e-13)
 
 
 def test_conformity_all_levels():
     hier = MeshHierarchy.build(2, 2, BOX)
     for mesh in hier.levels:
-        counts = np.bincount(
-            np.arange(mesh.facets.n_facets),
-            weights=(mesh.facets.tets >= 0).sum(axis=1))
-        assert set(np.unique(counts)) <= {1.0, 2.0}
-
+        _, counts = np.unique(tet_faces(mesh.tets), axis=0,
+                              return_counts=True)
+        assert set(np.unique(counts)) <= {1, 2}
+        # two triangles per boundary square of the (2 * 2^level)^3 grid
+        n_side = 2 * 2 ** mesh.level
+        assert np.count_nonzero(counts == 1) == 6 * 2 * n_side ** 2
 
 
 def reference_unique_rows(rows, n_vertices):
@@ -217,10 +190,28 @@ def reference_unique_rows(rows, n_vertices):
     return uniq, inverse, np.argsort(inverse, kind="stable")
 
 
-def reference_facets(vertices, tets):
-    """build_facets with np.unique(axis=0) and numpy's own short-axis sums."""
+class ReferenceFacets(NamedTuple):
+    """The facet table every mesh built before the ghost lookup: sorted
+    vertex triples, adjacent tets (lower id first, -1 on the boundary), unit
+    normals oriented from the first tet towards the second (outward on the
+    boundary) and areas."""
+
+    vertices: np.ndarray
+    tets: np.ndarray
+    normals: np.ndarray
+    areas: np.ndarray
+
+
+def tet_faces(tets):
+    """The 4 faces of each tet as sorted vertex triples, shape (4 nt, 3)."""
     local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    faces = np.sort(tets[:, local], axis=2).reshape(-1, 3)
+    return np.sort(tets[:, local], axis=2).reshape(-1, 3)
+
+
+def reference_facets(vertices, tets):
+    """The facet table with np.unique(axis=0) and numpy's own short-axis
+    sums."""
+    faces = tet_faces(tets)
     owners = np.repeat(np.arange(tets.shape[0]), 4)
     uniq, inv = np.unique(faces, axis=0, return_inverse=True)
     inv = inv.reshape(-1)
@@ -243,7 +234,7 @@ def reference_facets(vertices, tets):
     opp = vertices[tets[adj[:, 0]]].sum(axis=1) / 4.0
     wrong = np.einsum("fi,fi->f", normals, p.mean(axis=1) - opp) < 0
     normals[wrong] *= -1.0
-    return Facets(vertices=uniq, tets=adj, normals=normals, areas=0.5 * nrm)
+    return ReferenceFacets(uniq, adj, normals, 0.5 * nrm)
 
 
 def _arrays(hier):
@@ -252,8 +243,6 @@ def _arrays(hier):
         for name in ("vertices", "tets", "lattice", "volumes",
                      "boundary_vertex_flags"):
             out[k, name] = getattr(mesh, name)
-        for name in ("vertices", "tets", "normals", "areas"):
-            out[k, "facets." + name] = getattr(mesh.facets, name)
     for k, parents in enumerate(hier.midpoint_parents):
         out[k, "midpoint_parents"] = parents
     return out
@@ -261,7 +250,6 @@ def _arrays(hier):
 
 def test_integer_keys_match_unique_axis0(monkeypatch):
     got = _arrays(MeshHierarchy.build(3, 4, BOX))
-    monkeypatch.setattr(mesh_module, "build_facets", reference_facets)
     monkeypatch.setattr(mesh_module, "_unique_rows", reference_unique_rows)
     want = _arrays(MeshHierarchy.build(3, 4, BOX))
     assert got.keys() == want.keys()
@@ -272,11 +260,11 @@ def test_integer_keys_match_unique_axis0(monkeypatch):
 
 def test_integer_keys_reject_overflow():
     # a level-5 hierarchy of the default grid has 129^3 vertices, and
-    # 129^9 > 2^63: its facet keys would wrap
+    # 129^9 > 2^63: the triple keys of its ghost lookup would wrap
     nv = 129 ** 3
-    vertices = np.broadcast_to(np.zeros(3), (nv, 3))
-    with pytest.raises(ValueError, match=f"{nv} vertices overflow"):
-        build_facets(vertices, np.array([[0, 1, 2, 3]]))
+    with pytest.raises(ValueError, match=f"{nv} vertices overflow the int64 "
+                       "keys of vertex triples"):
+        _unique_rows(np.array([[0, 1, 2]]), nv)
     # the largest key, n^3 - 1, is exact up to n = 2^21 and no further
     top = np.full((1, 3), 2 ** 21 - 1)
     uniq, inverse, order = _unique_rows(top, 2 ** 21)
