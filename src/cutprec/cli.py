@@ -78,8 +78,8 @@ def _cmd_cond(args) -> int:
     tsys = build_system(config, level=level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
     print(f"problem={config.problem} level={level} N0={n0} N1={n1}")
-    for label, (A, B) in spectral_pencils(tsys).items():
-        est = estimate_condition(A, B)
+    for label, pencil in spectral_pencils(tsys):
+        est = estimate_condition(*pencil)
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "
               f"[{est.lam_min:.4e}, {est.lam_max:.4e}]  "

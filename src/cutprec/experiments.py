@@ -21,8 +21,8 @@ from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
 from .geometry import (SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
                        build_cut_info, classify)
 from .mesh import MeshHierarchy
-from .solver import (PRECONDITIONER_KINDS, estimate_condition,
-                     make_preconditioner, pcg)
+from .solver import (KIND_BLOCK_EXACT, PRECONDITIONER_KINDS, DirectSolve,
+                     estimate_condition, make_preconditioner, pcg)
 from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
 
 # elements per block of the error-norm quadrature
@@ -217,7 +217,6 @@ class LevelResult:
 
 @dataclass
 class StudyResult:
-    problem: str
     config: ExperimentConfig
     rows: list
 
@@ -324,16 +323,22 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
                       h1_full=float(np.sqrt(acc[0] + acc[1])))
 
 
-def spectral_pencils(tsys: TransformedSystem) -> dict:
-    """The operators whose conditioning `cutprec cond` reports, by label,
-    as (A, B) pairs for estimate_condition (B None is the identity): Ahat
-    alone, Ahat against the block diagonal D_A = diag(A0, A1), and the
-    strip block A1 against its diagonal D1."""
-    return {"kappa2(Ahat)": (tsys.Ahat, None),
-            "kappa(DA^-1 Ahat)": (
-                tsys.Ahat, sp.block_diag([tsys.A0, tsys.A1], format="csr")),
-            "kappa(D1^-1 A1)": (tsys.A1,
-                                sp.diags(tsys.A1.diagonal()).tocsr())}
+def spectral_pencils(tsys: TransformedSystem):
+    """The operators whose conditioning `cutprec cond` reports, yielded
+    as (label, (A, B, B_solve)) for estimate_condition (B None is the
+    identity): Ahat alone, Ahat against D_A = diag(A0, A1) with the
+    BlockExact preconditioner as its solve, and the strip block A1 against
+    its diagonal D1 with a DirectSolve.
+
+    Each B-solve is built only when its pencil is reached, so no factor is
+    alive while kappa(Ahat) is estimated: built all at once, the A0 band
+    would sit under the Lanczos basis of kappa(Ahat)."""
+    yield "kappa2(Ahat)", (tsys.Ahat, None, None)
+    yield "kappa(DA^-1 Ahat)", (
+        tsys.Ahat, sp.block_diag([tsys.A0, tsys.A1], format="csr"),
+        make_preconditioner(KIND_BLOCK_EXACT, tsys))
+    D1 = sp.diags(tsys.A1.diagonal()).tocsr()
+    yield "kappa(D1^-1 A1)", (tsys.A1, D1, DirectSolve(D1))
 
 
 def _assemble(mesh, x0, config: ExperimentConfig):
@@ -440,7 +445,7 @@ def run_study(config: ExperimentConfig = None,
         points = [(lvl, config.x0, None) for lvl in range(top + 1)]
     rows = [_solve_point(hierarchy.truncated(lvl), x0, config, delta)
             for lvl, x0, delta in points]
-    return StudyResult(problem=config.problem, config=config, rows=rows)
+    return StudyResult(config=config, rows=rows)
 
 
 _FORMATS = {"h": "{:.6g}", "l2": "{:.6e}", "h1_semi": "{:.6e}",

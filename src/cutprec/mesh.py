@@ -242,11 +242,11 @@ class MeshHierarchy:
         self.midpoint_parents = midpoint_parents
 
     @classmethod
-    def build(cls, max_level: int, n_per_axis: int = 4,
-              box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))) -> "MeshHierarchy":
+    def build(cls, max_level: int) -> "MeshHierarchy":
+        """Refine the 4^3 Kuhn grid of [-1.5, 1.5]^3 max_level times."""
         if max_level < 0:
             raise ValueError(f"level must be nonnegative, got {max_level}")
-        levels, parents = [build_initial_mesh(n_per_axis, box)], []
+        levels, parents = [build_initial_mesh(4)], []
         for _ in range(max_level):
             fine, mids = refine_uniform(levels[-1])
             levels.append(fine)

@@ -1,8 +1,7 @@
 """Krylov and preconditioning kernels for the split-basis systems.
 
 Provides exact solves of symmetric positive definite matrices by banded
-Cholesky (one band per connected component, in reverse Cuthill-McKee
-order), preconditioned conjugate gradients with the preconditioned-residual
+Cholesky (one band in reverse Cuthill-McKee order), preconditioned conjugate gradients with the preconditioned-residual
 stopping rule, symmetric Gauss-Seidel sweeps, a geometric multigrid V-cycle
 built on the nested mesh hierarchy, the four preconditioners used in the
 solver studies, and condition estimates by Lanczos with partial
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .mesh import MeshHierarchy
@@ -45,29 +44,25 @@ class SolveReport:
     iterations: int
     residuals: np.ndarray
     converged: bool
-    preconditioner: str
-    tol: float
     seconds: float
 
 
 class DirectSolve:
-    """Exact solve of a symmetric positive definite system by banded
-    Cholesky factors.
+    """Exact solve of a symmetric positive definite system by a banded
+    Cholesky factor: one band, in reverse Cuthill-McKee order.
 
-    Each connected component of the matrix graph gets its own band, in its
-    reverse Cuthill-McKee order, so a block-diagonal matrix stores each
-    block at its own bandwidth and factors it as it would be factored
-    alone; rows without off-diagonal entries share one band of bandwidth
-    0.  The band factor reads the upper triangle only, so a matrix that is
-    not symmetric to 1e-12 relative is rejected, as is one that is not
-    positive definite.
+    A block-diagonal operator is solved block by block instead
+    (BlockPreconditioner): one band would store every block at the widest
+    bandwidth.  The band factor reads the upper triangle only, so a matrix
+    that is not symmetric to 1e-12 relative is rejected, as is one that is
+    not positive definite.
 
-    Each band lives in an anonymous memory mapping of its own, outside the
+    The band lives in an anonymous memory mapping of its own, outside the
     malloc heap.  A level-2 band is 11 MB: taken from the heap, it left a
     hole when freed that later allocations filled or not depending on the
     addresses a process was given, so the peak RSS of repeated studies
-    moved by 15 MB between identical runs.  A mapping goes back to the
-    system when its band is freed.
+    moved by 15 MB between identical runs.  The mapping goes back to the
+    system when the band is freed.
     """
 
     def __init__(self, M: sp.spmatrix):
@@ -77,37 +72,29 @@ class DirectSolve:
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric: max|M - M^T| = "
                              f"{asym:.3e} against max|M| = {scale:.3e}")
-        n_comp, labels = connected_components(M, directed=False)
-        # isolated rows form one group: a band of bandwidth 0
-        labels[np.bincount(labels, minlength=n_comp)[labels] == 1] = -1
-        order = np.argsort(labels, kind="stable")
-        self._bands = []
-        for idx in np.split(order,
-                            np.flatnonzero(np.diff(labels[order])) + 1):
-            idx = idx[reverse_cuthill_mckee(M[idx][:, idx],
-                                            symmetric_mode=True)]
-            U = sp.triu(M[idx][:, idx], format="coo")
-            U.sum_duplicates()
-            width = int(np.max(U.col - U.row, initial=0))
-            # Fortran order lets LAPACK factor the band in place; a fresh
-            # anonymous mapping reads as zeros
-            buf = mmap.mmap(-1, (width + 1) * idx.size * 8,
-                            flags=mmap.MAP_PRIVATE)
-            ab = np.ndarray((width + 1, idx.size), order="F", buffer=buf)
-            ab[width + U.row - U.col, U.col] = U.data
-            try:
-                cb = sla.cholesky_banded(ab, lower=False, overwrite_ab=True,
-                                         check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"factorization failed: {exc}") from exc
-            self._bands.append((idx, cb))
+        perm = reverse_cuthill_mckee(M, symmetric_mode=True)
+        U = sp.triu(M[perm][:, perm], format="coo")
+        U.sum_duplicates()
+        width = int(np.max(U.col - U.row, initial=0))
+        # Fortran order lets LAPACK factor the band in place; a fresh
+        # anonymous mapping reads as zeros
+        buf = mmap.mmap(-1, (width + 1) * perm.size * 8,
+                        flags=mmap.MAP_PRIVATE)
+        ab = np.ndarray((width + 1, perm.size), order="F", buffer=buf)
+        ab[width + U.row - U.col, U.col] = U.data
+        try:
+            self._band = sla.cholesky_banded(ab, lower=False,
+                                             overwrite_ab=True,
+                                             check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"factorization failed: {exc}") from exc
+        self._perm = perm
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         x = np.empty_like(r, dtype=float)
-        for idx, cb in self._bands:
-            x[idx] = sla.cho_solve_banded((cb, False), r[idx],
-                                          overwrite_b=True,
-                                          check_finite=False)
+        x[self._perm] = sla.cho_solve_banded((self._band, False),
+                                             r[self._perm], overwrite_b=True,
+                                             check_finite=False)
         return x
 
 
@@ -201,8 +188,7 @@ def pcg(A: sp.spmatrix, b: np.ndarray, precond, tol: float = 1e-6,
     def report(k, converged):
         return SolveReport(iterations=k, residuals=np.array(history),
                            converged=converged,
-                           preconditioner=getattr(precond, "kind", "custom"),
-                           tol=tol, seconds=time.perf_counter() - start)
+                           seconds=time.perf_counter() - start)
 
     if norm0 == 0.0:
         return x, report(0, True)
@@ -361,9 +347,9 @@ class ConditionEstimate:
     method = "lanczos"
 
 
-def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
-    """Extreme eigenvalues of B^{-1}A by Lanczos in the B inner product;
-    B=None means the identity.
+def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9):
+    """Extreme eigenvalues of B^{-1}A by Lanczos in the B inner product,
+    with B_solve.apply(r) = B^{-1} r; B=None means the identity.
 
     Partial reorthogonalization (Simon, Math. Comp. 42, 1984): each step
     applies the three-term recurrence and advances the omega recurrence,
@@ -387,7 +373,6 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     if budget < 1:
         raise ValueError(f"Lanczos budget must be at least 1, got {budget}")
     budget = min(budget, n)
-    binv = DirectSolve(B) if B is not None else None
     V = np.empty((budget + 1, n))
     BV = np.empty_like(V) if B is not None else V  # B V; V itself for B=I
     alpha = np.empty(budget)
@@ -430,7 +415,7 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     for j in range(budget):
         k = j + 1
         av = A @ V[j]
-        w = binv.apply(av) if binv is not None else av.copy()
+        w = B_solve.apply(av) if B is not None else av.copy()
         alpha[j] = av @ V[j]
         w -= alpha[j] * V[j]
         if j > 0:
@@ -468,10 +453,14 @@ def _lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     return ritz_value(k, False), ritz_value(k, True), converged or k == n, k
 
 
-def estimate_condition(A, B=None, *, budget: int = None,
+def estimate_condition(A, B=None, B_solve=None, *, budget: int = None,
                        seed: int = 0) -> ConditionEstimate:
     """Extreme eigenvalues and condition number of A, or of the pencil
     (A, B) when B is given (i.e. of B^{-1}A with both operators SPD).
+
+    A pencil comes with its B-solve, anything whose apply(r) returns
+    B^{-1} r exactly: nothing is factored here.  B and B_solve are given
+    together or not at all.
 
     Runs the Lanczos three-term recurrence in the B inner product with
     partial reorthogonalization (a full Gram-Schmidt pass only when the
@@ -480,7 +469,11 @@ def estimate_condition(A, B=None, *, budget: int = None,
     value by bisection per step and the other once the first has settled.
     A non-converged result is a lower bound on kappa and is flagged.
     """
-    lo, hi, converged, steps = _lanczos_extremes(A, B, budget, seed)
+    if (B is None) != (B_solve is None):
+        raise ValueError("a pencil needs both B and its B-solve, got "
+                         + ("B only" if B_solve is None else "B_solve only"))
+    lo, hi, converged, steps = _lanczos_extremes(A, B, B_solve, budget,
+                                                 seed)
     if lo <= 0.0:
         raise ValueError("operator is not positive definite "
                          f"(smallest eigenvalue {lo:.3e})")

@@ -29,7 +29,7 @@ EPSILONS = {1: (1e-1, 1e-3, 1e-5, 1e-7, 1e-9), 2: (1e-9,)}
 def kappas(config, level):
     """kappa(Ahat) and kappa(DA^-1 Ahat) of the system cut by the sphere
     around config.x0, as the estimates of the studies at this level."""
-    pencils = spectral_pencils(build_system(config, level))
+    pencils = dict(spectral_pencils(build_system(config, level)))
     return (estimate_condition(*pencils["kappa2(Ahat)"]),
             estimate_condition(*pencils["kappa(DA^-1 Ahat)"]))
 

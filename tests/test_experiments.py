@@ -142,7 +142,7 @@ def test_order_computation_is_log2_ratio():
                         kappa2_steps=0, iterations={k2: 5 for k2 in
                                                 cfg.preconditioners})
             for k, e in enumerate([0.4, 0.1])]
-    d = StudyResult(INTERFACE, cfg, rows).row_dicts()
+    d = StudyResult(cfg, rows).row_dicts()
     assert "l2_order" not in d[0]
     assert d[1]["l2_order"] == pytest.approx(2.0, abs=1e-14)
     assert d[1]["h1_semi_order"] == pytest.approx(2.0, abs=1e-14)
@@ -273,6 +273,27 @@ def test_study_row_factors_each_block_once(monkeypatch):
     assert at_kappa == [(3, 0), (6, 0)]
 
 
+def test_cli_cond_builds_each_solve_at_its_pencil(monkeypatch):
+    """`cutprec cond` estimates kappa(Ahat) with no factor alive, then
+    kappa(DA^-1 Ahat) with the A0 and A1 factors of BlockExact, then
+    kappa(D1^-1 A1) with the factor of D1 alone."""
+    made, at_kappa = [], []
+    init = solver.DirectSolve.__init__
+
+    def counted(self, M):
+        init(self, M)
+        made.append(weakref.ref(self))
+
+    def estimate(*args, **kwargs):
+        at_kappa.append((len(made), sum(r() is not None for r in made)))
+        return estimate_condition(*args, **kwargs)
+
+    monkeypatch.setattr(solver.DirectSolve, "__init__", counted)
+    monkeypatch.setattr("cutprec.cli.estimate_condition", estimate)
+    assert main(["cond", "--level", "0"]) == 0
+    assert at_kappa == [(0, 0), (2, 2), (3, 1)]
+
+
 @pytest.fixture(scope="module")
 def tiny_interface_study():
     return run_study(ExperimentConfig(max_level=0))
@@ -377,7 +398,8 @@ def test_cli_cond_prints_shared_pencils(capsys):
     assert main(["cond", "--level", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]
-    pencils = spectral_pencils(build_system(ExperimentConfig(), level=0))
+    pencils = dict(spectral_pencils(build_system(ExperimentConfig(),
+                                                 level=0)))
     assert [ln.split("=")[0].rstrip() for ln in lines] == list(pencils)
     for ln, pencil in zip(lines, pencils.values()):
         assert ln.split("=")[1].split()[0] == \

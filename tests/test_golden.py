@@ -8,12 +8,15 @@ significant digits, far above the run-to-run noise of the BLAS.
 
 cond_l2.txt is the stdout of `cutprec cond --level 2` from SuperLU exact
 solves, before the banded Cholesky; only its header has changed since, when
-the estimator lost its `method=` field.  It reaches the Lanczos pencils and
-their step counts, which no study table at levels 0-1 does.  The BLAS
-thread count moves kappa in the 13th digit, enough to move a step count,
-so it runs in a child process with one BLAS thread.
+the estimator lost its `method=` field.  cond_fd_l2.txt is the same output
+for the fictitious-domain problem, written before the pencils brought their
+own B-solves.  They reach the Lanczos pencils and their step counts, which
+no study table at levels 0-1 does.  The BLAS thread count moves kappa in
+the 13th digit, enough to move a step count, so `cond` runs in a child
+process with one BLAS thread.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -39,12 +42,23 @@ def test_golden_tables(argv, name, tmp_path):
         (GOLDEN / f"{name}.csv").read_bytes()
 
 
-def test_golden_cond_output():
+def cond_stdout(*args):
+    """Stdout of `cutprec cond --level 2 *args` with one BLAS thread."""
     src = str(Path(cutprec.__file__).parents[1])
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-m", "cutprec.cli", "cond",
-                          "--level", "2"],
-                         env=env, capture_output=True, check=True)
-    assert run.stdout == (GOLDEN / "cond_l2.txt").read_bytes()
+    return subprocess.run([sys.executable, "-m", "cutprec.cli", "cond",
+                           "--level", "2", *args],
+                          env=env, capture_output=True, check=True).stdout
+
+
+def test_golden_cond_output():
+    assert cond_stdout() == (GOLDEN / "cond_l2.txt").read_bytes()
+
+
+def test_golden_cond_fd_output(tmp_path):
+    config = tmp_path / "fd.json"
+    config.write_text(json.dumps({"problem": "fictitious"}))
+    assert cond_stdout("--config", str(config)) == \
+        (GOLDEN / "cond_fd_l2.txt").read_bytes()

@@ -1,8 +1,8 @@
 """Memory of the mesh build, the ghost lookup, assembly, error norms and
 exact solves: no facet table on any mesh, ghost facets keyed only near the
 cut strip, int32 triplets built into the matrix before the loads,
-cut-element loads and error-norm quadrature in blocks of elements, and one
-band per connected component in the banded Cholesky.
+cut-element loads and error-norm quadrature in blocks of elements, and
+the band of the banded Cholesky mapped outside the malloc heap.
 
 None of the blocking may change a number, so each is compared bit for bit
 with the full-size code it replaced, kept here as the oracle (the facet
@@ -235,11 +235,11 @@ def interface2_A0():
 
 
 def direct_solve_peak(M):
-    """Traced peak of DirectSolve(M) plus its bands, in MB: the bands live
-    in anonymous mappings, which tracemalloc does not see."""
+    """Traced peak of DirectSolve(M) plus its band, in MB: the band lives
+    in an anonymous mapping, which tracemalloc does not see."""
     solves = []
     peak = traced_peak(lambda: solves.append(DirectSolve(M)))
-    return peak + sum(cb.nbytes for _, cb in solves[0]._bands) / MB
+    return peak + solves[0]._band.nbytes / MB
 
 
 def test_level2_direct_solve_peak(interface2_A0):
@@ -252,13 +252,3 @@ def test_direct_solve_bands_outside_traced_heap(interface2_A0):
     # an 11.3 MB band left in the malloc heap makes the peak RSS of
     # repeated passes depend on where later allocations land
     assert traced_peak(DirectSolve, interface2_A0) < 5.0
-
-
-def test_direct_solve_band_per_component_peak(interface2_A0):
-    # one band for both blocks would store the tridiagonal block at A0's
-    # bandwidth: 79 MB, against 11.3 + 0.3 MB for a band per component
-    n = 20_000
-    T = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0),
-                  np.full(n - 1, -1.0)], [-1, 0, 1])
-    M = sp.block_diag([interface2_A0, T], format="csr")
-    assert direct_solve_peak(M) < 20.0

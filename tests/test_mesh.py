@@ -103,7 +103,7 @@ def test_refine_counts_and_volume():
 
 
 def test_hierarchy_tet_count_and_h():
-    hier = MeshHierarchy.build(3, 4, BOX)
+    hier = MeshHierarchy.build(3)
     for ell, mesh in enumerate(hier.levels):
         assert mesh.n_tets == 384 * 8**ell
         assert mesh.h == pytest.approx(2.0**-ell * 0.75, abs=0)
@@ -111,7 +111,7 @@ def test_hierarchy_tet_count_and_h():
 
 
 def test_hierarchy_nesting_exact():
-    hier = MeshHierarchy.build(2, 4, BOX)
+    hier = MeshHierarchy.build(2)
     for k in range(2):
         coarse, fine = hier.levels[k], hier.levels[k + 1]
         parents = hier.midpoint_parents[k]
@@ -156,7 +156,7 @@ def test_facets_two_tets():
 
 
 def test_facet_count_against_bruteforce():
-    mesh = MeshHierarchy.build(1, 4, BOX).finest
+    mesh = MeshHierarchy.build(1).finest
     seen = {}
     for t, tet in enumerate(mesh.tets):
         for keep in ([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]):
@@ -173,8 +173,10 @@ def test_facet_count_against_bruteforce():
 
 
 def test_conformity_all_levels():
-    hier = MeshHierarchy.build(2, 2, BOX)
-    for mesh in hier.levels:
+    meshes = [build_initial_mesh(2, BOX)]
+    for _ in range(2):
+        meshes.append(refine_uniform(meshes[-1])[0])
+    for mesh in meshes:
         _, counts = np.unique(tet_faces(mesh.tets), axis=0,
                               return_counts=True)
         assert set(np.unique(counts)) <= {1, 2}
@@ -249,9 +251,9 @@ def _arrays(hier):
 
 
 def test_integer_keys_match_unique_axis0(monkeypatch):
-    got = _arrays(MeshHierarchy.build(3, 4, BOX))
+    got = _arrays(MeshHierarchy.build(3))
     monkeypatch.setattr(mesh_module, "_unique_rows", reference_unique_rows)
-    want = _arrays(MeshHierarchy.build(3, 4, BOX))
+    want = _arrays(MeshHierarchy.build(3))
     assert got.keys() == want.keys()
     for key, arr in want.items():
         assert got[key].dtype == arr.dtype, key

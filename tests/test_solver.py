@@ -167,8 +167,6 @@ def test_pcg_residual_history_layout(interface_systems):
     assert hist.shape == (rep.iterations + 1,)
     assert np.all(hist > 0.0)
     assert hist[-1] <= 1e-6
-    assert rep.preconditioner == "BlockExact"
-    assert rep.tol == 1e-6
 
 
 def test_sgs_diagonal_matrix_is_exact():
@@ -333,8 +331,10 @@ def oracle_direct_solve(M):
 @pytest.fixture(scope="module")
 def exact_solve_matrices(hierarchy2):
     """Every kind of matrix the program factors exactly, per problem and
-    level: both blocks, the D_A and D1 pencil matrices and the multigrid
-    coarse operator."""
+    level: both blocks, the D1 pencil matrix and the multigrid coarse
+    operator; and the D_A pencil matrix, which the program no longer
+    factors (its B-solve is the BlockExact preconditioner), as a
+    two-component matrix one band must still solve."""
     cache = {}
 
     def get(problem, level):
@@ -343,7 +343,7 @@ def exact_solve_matrices(hierarchy2):
             sub = hierarchy2.truncated(level)
             mg = GeometricMultigrid(t.A0, build_prolongations(
                 sub, multigrid_active_sets(sub, problem)))
-            pencils = spectral_pencils(t)
+            pencils = dict(spectral_pencils(t))
             cache[problem, level] = {
                 "A0": t.A0, "A1": t.A1,
                 "DA": pencils["kappa(DA^-1 Ahat)"][1],
@@ -366,14 +366,16 @@ def test_direct_solve_matches_superlu_oracle(exact_solve_matrices, problem,
 
 
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
-def test_direct_solve_factors_each_component_alone(exact_solve_matrices,
-                                                   problem):
-    """The factor of block_diag(A0, A1) solves each block bit for bit as
-    the factor of that block alone."""
+def test_da_pencil_solve_is_block_exact(exact_solve_matrices, problem):
+    """The D_A pencil is solved by the BlockExact preconditioner, block by
+    block bit for bit as the factors of A0 and A1 alone."""
     m = exact_solve_matrices(problem, 2)
+    t = build_system(ExperimentConfig(problem=problem), level=2)
+    _, B, B_solve = dict(spectral_pencils(t))["kappa(DA^-1 Ahat)"]
+    assert B_solve.kind == "BlockExact"
     n0 = m["A0"].shape[0]
-    r = np.random.default_rng(5).standard_normal(m["DA"].shape[0])
-    x = DirectSolve(m["DA"]).apply(r)
+    r = np.random.default_rng(5).standard_normal(B.shape[0])
+    x = B_solve.apply(r)
     assert np.array_equal(x[:n0], DirectSolve(m["A0"]).apply(r[:n0]))
     assert np.array_equal(x[n0:], DirectSolve(m["A1"]).apply(r[n0:]))
 
@@ -639,12 +641,13 @@ def test_lanczos_generalized_pencil_matches_dense(case, interface_systems):
     if case == "random-diag":
         A = random_spd(150, seed=19)
         B = sp.diags(np.linspace(0.5, 4.0, 150)).tocsr()
-        rel, steps = 1e-6, None
+        B_solve, rel, steps = DirectSolve(B), 1e-6, None
     else:
-        A, B = spectral_pencils(interface_systems[1])["kappa(DA^-1 Ahat)"]
+        A, B, B_solve = dict(spectral_pencils(interface_systems[1]))[
+            "kappa(DA^-1 Ahat)"]
         rel, steps = 1e-7, 88
     lo, hi = dense_extremes(A, B)
-    est = estimate_condition(A, B=B, seed=2)
+    est = estimate_condition(A, B, B_solve, seed=2)
     assert est.converged
     assert est.kappa == pytest.approx(hi / lo, rel=rel)
     if steps is not None:
@@ -661,7 +664,7 @@ def _oracle_tridiagonal_extremes(d, e):
     return float(lo), float(hi)
 
 
-def oracle_lanczos_extremes(A, B, budget, seed, rtol=1e-9):
+def oracle_lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9):
     """The estimator with full reorthogonalization: one classical
     Gram-Schmidt pass in the B inner product on every step, and both
     extreme Ritz values from eigh_tridiagonal on every step."""
@@ -669,7 +672,6 @@ def oracle_lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     if budget is None:
         budget = min(5 * n, 2000)
     budget = min(budget, n)
-    binv = DirectSolve(B) if B is not None else None
     V = np.empty((budget + 1, n))
     BV = np.empty_like(V) if B is not None else V
     alpha = np.empty(budget)
@@ -684,7 +686,7 @@ def oracle_lanczos_extremes(A, B, budget, seed, rtol=1e-9):
     for j in range(budget):
         k = j + 1
         av = A @ V[j]
-        w = binv.apply(av) if binv is not None else av.copy()
+        w = B_solve.apply(av) if B is not None else av.copy()
         alpha[j] = av @ V[j]
         w -= alpha[j] * V[j]
         if j > 0:
@@ -735,10 +737,11 @@ def level1_systems():
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_lanczos_matches_full_reorthogonalization(level1_systems, problem,
                                                   x0, label):
-    A, B = spectral_pencils(level1_systems(problem, x0))[label]
-    lo, hi, converged, steps = _lanczos_extremes(A, B, None, 0)
+    A, B, B_solve = dict(spectral_pencils(level1_systems(problem, x0)))[
+        label]
+    lo, hi, converged, steps = _lanczos_extremes(A, B, B_solve, None, 0)
     ref_lo, ref_hi, ref_converged, ref_steps = \
-        oracle_lanczos_extremes(A, B, None, 0)
+        oracle_lanczos_extremes(A, B, B_solve, None, 0)
     assert (steps, converged) == (ref_steps, ref_converged)
     assert lo == pytest.approx(ref_lo, rel=1e-12, abs=0)
     assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0)
@@ -754,6 +757,15 @@ def test_estimate_condition_identity_and_validation():
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"budget .*{budget}"):
             estimate_condition(sp.eye(4, format="csr"), budget=budget)
+
+
+def test_estimate_condition_rejects_half_a_pencil():
+    B = sp.diags(np.linspace(1.0, 2.0, 6)).tocsr()
+    with pytest.raises(ValueError, match="B and its B-solve, got B only"):
+        estimate_condition(sp.eye(6, format="csr"), B)
+    with pytest.raises(ValueError,
+                       match="B and its B-solve, got B_solve only"):
+        estimate_condition(sp.eye(6, format="csr"), B_solve=DirectSolve(B))
 
 
 def test_lanczos_exhausted_budget_is_flagged_lower_bound():
