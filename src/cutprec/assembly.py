@@ -25,8 +25,8 @@ from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
-# cut elements per block of the cut-element load quadrature
-CUT_LOAD_BLOCK = 1024
+# elements per block of the load quadrature, cut or not
+LOAD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,15 @@ def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
 
 
 def _add_full_loads(acc, mesh, sel, f, vdof):
-    if sel.size == 0:
-        return
-    verts = mesh.vertices[mesh.tets[sel]]
-    pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, verts)
-    fv = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(sel.size, -1)
-    bloc = mesh.volumes[sel, None] * np.einsum(
-        "q,mq,qi->mi", TET_RULE_W, fv, TET_RULE_LAM)
-    acc.add_load(bloc, vdof[mesh.tets[sel]])
+    for start in range(0, sel.size, LOAD_BLOCK):
+        blk = sel[start:start + LOAD_BLOCK]
+        verts = mesh.vertices[mesh.tets[blk]]
+        pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, verts)
+        fv = np.asarray(f(pts.reshape(-1, 3)),
+                        dtype=float).reshape(blk.size, -1)
+        bloc = mesh.volumes[blk, None] * np.einsum(
+            "q,mq,qi->mi", TET_RULE_W, fv, TET_RULE_LAM)
+        acc.add_load(bloc, vdof[mesh.tets[blk]])
 
 
 def cut_point_blocks(mesh: Mesh, cutinfo: CutInfo, grads, side: int,
@@ -265,7 +266,7 @@ def cut_point_blocks(mesh: Mesh, cutinfo: CutInfo, grads, side: int,
 
 def _add_cut_loads(acc, mesh, cutinfo, grads, side, f, vdof):
     for pts, w, tids, lam in cut_point_blocks(mesh, cutinfo, grads, side,
-                                              CUT_LOAD_BLOCK):
+                                              LOAD_BLOCK):
         fv = np.asarray(f(pts), dtype=float)
         acc.add_load((w * fv)[:, None] * lam, vdof[mesh.tets[tids]])
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .experiments import (ExperimentConfig, build_system, run_study,
                           spectral_pencils, write_tables)
-from .solver import PRECONDITIONER_KINDS, estimate_condition
+from .solver import PRECONDITIONER_KINDS
 from .space import FICTITIOUS, INTERFACE
 
 # study subcommand -> (problem, delta sweep, table name, help)
@@ -78,11 +78,11 @@ def _cmd_cond(args) -> int:
     tsys = build_system(config, level=level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
     print(f"problem={config.problem} level={level} N0={n0} N1={n1}")
-    for label, pencil in spectral_pencils(tsys):
-        est = estimate_condition(*pencil)
+    for label, est in spectral_pencils(tsys):
+        gamma = "" if est.gamma is None else f"  gamma={est.gamma:.4e}"
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "
-              f"[{est.lam_min:.4e}, {est.lam_max:.4e}]  "
+              f"[{est.lam_min:.4e}, {est.lam_max:.4e}]{gamma}  "
               f"steps={est.iterations}{mark}")
     return 0
 

@@ -21,8 +21,8 @@ from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
 from .geometry import (SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
                        build_cut_info, classify)
 from .mesh import MeshHierarchy
-from .solver import (KIND_BLOCK_EXACT, PRECONDITIONER_KINDS, DirectSolve,
-                     estimate_condition, make_preconditioner, pcg)
+from .solver import (PRECONDITIONER_KINDS, DirectSolve, estimate_condition,
+                     make_preconditioner, pcg, splitting_estimate)
 from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
 
 # elements per block of the error-norm quadrature
@@ -324,21 +324,22 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
 
 
 def spectral_pencils(tsys: TransformedSystem):
-    """The operators whose conditioning `cutprec cond` reports, yielded
-    as (label, (A, B, B_solve)) for estimate_condition (B None is the
-    identity): Ahat alone, Ahat against D_A = diag(A0, A1) with the
-    BlockExact preconditioner as its solve, and the strip block A1 against
-    its diagonal D1 with a DirectSolve.
+    """The condition estimates `cutprec cond` reports, yielded as (label,
+    ConditionEstimate): kappa(Ahat); kappa(D_A^-1 Ahat), D_A = diag(A0,
+    A1), from the splitting constant gamma with exact solves of A0 and
+    A1; and the strip block A1 against its diagonal D1.
 
-    Each B-solve is built only when its pencil is reached, so no factor is
-    alive while kappa(Ahat) is estimated: built all at once, the A0 band
-    would sit under the Lanczos basis of kappa(Ahat)."""
-    yield "kappa2(Ahat)", (tsys.Ahat, None, None)
-    yield "kappa(DA^-1 Ahat)", (
-        tsys.Ahat, sp.block_diag([tsys.A0, tsys.A1], format="csr"),
-        make_preconditioner(KIND_BLOCK_EXACT, tsys))
+    Each estimate is computed, and its solves built, only when the
+    generator reaches it, so no factor is alive while kappa(Ahat) is
+    estimated: built all at once, the A0 band would sit under the Lanczos
+    basis of kappa(Ahat)."""
+    yield "kappa2(Ahat)", estimate_condition(tsys.Ahat)
+    n0 = tsys.A0.shape[0]
+    yield "kappa(DA^-1 Ahat)", splitting_estimate(
+        tsys.Ahat[:n0, n0:], tsys.A1, DirectSolve(tsys.A0),
+        DirectSolve(tsys.A1))
     D1 = sp.diags(tsys.A1.diagonal()).tocsr()
-    yield "kappa(D1^-1 A1)", (tsys.A1, D1, DirectSolve(D1))
+    yield "kappa(D1^-1 A1)", estimate_condition(tsys.A1, D1, DirectSolve(D1))
 
 
 def _assemble(mesh, x0, config: ExperimentConfig):
@@ -358,6 +359,18 @@ def _assemble(mesh, x0, config: ExperimentConfig):
         sol = fictitious_solution(x0)
         A, b = assemble_fd(mesh, cutinfo, layout, coeffs, sol.f, sol.u)
     return cutinfo, sol, transform(A, b, build_L(layout), layout)
+
+
+def multigrid_active_sets(hierarchy, x0, problem) -> list:
+    """The vertex sets of the multigrid block, one per level: the interior
+    box vertices for the interface problem, the vertices inside the
+    sphere around x0 for the fictitious domain."""
+    if problem == INTERFACE:
+        return [np.flatnonzero(~m.boundary_vertex_flags)
+                for m in hierarchy.levels]
+    levelset = SphereLevelSet(center=x0)
+    return [np.flatnonzero(classify(m, levelset)[1] < 0.0)
+            for m in hierarchy.levels]
 
 
 @contextmanager
@@ -380,18 +393,11 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
     with _located("assembly", level, delta):
         cutinfo, sol, tsys = _assemble(mesh, x0, config)
     layout = tsys.layout
-    # multigrid vertex sets: the interior box vertices for the interface
-    # problem, the vertices inside the sphere for the fictitious domain
-    if config.problem == INTERFACE:
-        active = [np.flatnonzero(~m.boundary_vertex_flags)
-                  for m in hierarchy.levels]
-    else:
-        levelset = SphereLevelSet(center=x0)
-        active = [np.flatnonzero(classify(m, levelset)[1] < 0.0)
-                  for m in hierarchy.levels]
-        if not np.array_equal(active[-1], layout.x0_vertices):
-            raise RuntimeError("multigrid vertex set disagrees with the "
-                               "interior block layout")
+    active = multigrid_active_sets(hierarchy, x0, config.problem)
+    if config.problem == FICTITIOUS and not np.array_equal(
+            active[-1], layout.x0_vertices):
+        raise RuntimeError("multigrid vertex set disagrees with the "
+                           "interior block layout")
 
     iterations = {}
     first_solution = None

@@ -6,6 +6,7 @@ bundles; the study drivers run at levels 0-2 where everything is cheap.
 
 import argparse
 import json
+import re
 import weakref
 
 import numpy as np
@@ -275,8 +276,8 @@ def test_study_row_factors_each_block_once(monkeypatch):
 
 def test_cli_cond_builds_each_solve_at_its_pencil(monkeypatch):
     """`cutprec cond` estimates kappa(Ahat) with no factor alive, then
-    kappa(DA^-1 Ahat) with the A0 and A1 factors of BlockExact, then
-    kappa(D1^-1 A1) with the factor of D1 alone."""
+    kappa(DA^-1 Ahat) with the A0 and A1 factors, then kappa(D1^-1 A1)
+    with the factor of D1 alone."""
     made, at_kappa = [], []
     init = solver.DirectSolve.__init__
 
@@ -284,12 +285,16 @@ def test_cli_cond_builds_each_solve_at_its_pencil(monkeypatch):
         init(self, M)
         made.append(weakref.ref(self))
 
-    def estimate(*args, **kwargs):
-        at_kappa.append((len(made), sum(r() is not None for r in made)))
-        return estimate_condition(*args, **kwargs)
+    def at_call(estimate):
+        def call(*args, **kwargs):
+            at_kappa.append((len(made), sum(r() is not None for r in made)))
+            return estimate(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(solver.DirectSolve, "__init__", counted)
-    monkeypatch.setattr("cutprec.cli.estimate_condition", estimate)
+    for name in ("estimate_condition", "splitting_estimate"):
+        monkeypatch.setattr(experiments, name,
+                            at_call(getattr(experiments, name)))
     assert main(["cond", "--level", "0"]) == 0
     assert at_kappa == [(0, 0), (2, 2), (3, 1)]
 
@@ -393,38 +398,42 @@ def test_cli_cond(capsys):
 
 
 def test_cli_cond_prints_shared_pencils(capsys):
-    # each kappa line of `cond` is the estimate of the pencil of the same
-    # label from spectral_pencils, so the two cannot drift apart
+    # each kappa line of `cond` prints the estimate of the same label from
+    # spectral_pencils, so the two cannot drift apart; the D_A line alone
+    # carries the splitting constant gamma
     assert main(["cond", "--level", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]
-    pencils = dict(spectral_pencils(build_system(ExperimentConfig(),
-                                                 level=0)))
-    assert [ln.split("=")[0].rstrip() for ln in lines] == list(pencils)
-    for ln, pencil in zip(lines, pencils.values()):
-        assert ln.split("=")[1].split()[0] == \
-            f"{estimate_condition(*pencil).kappa:.4e}"
+    estimates = dict(spectral_pencils(build_system(ExperimentConfig(),
+                                                   level=0)))
+    assert [ln.split("=")[0].rstrip() for ln in lines] == list(estimates)
+    for ln, est in zip(lines, estimates.values()):
+        assert ln.split("=")[1].split()[0] == f"{est.kappa:.4e}"
+        gamma = "" if est.gamma is None else f"  gamma={est.gamma:.4e}"
+        assert f"{est.lam_max:.4e}]{gamma}  steps={est.iterations}" in ln
+    assert estimates["kappa(DA^-1 Ahat)"].gamma is not None
 
 
 def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
-    # each line gives the Lanczos step count after the eigenvalue range; an
-    # unconverged estimate is a lower bound and says so after the count
+    # each line gives the Lanczos step count after the eigenvalue range
+    # (and gamma); an unconverged estimate is a lower bound and says so
+    # after the count
     steps = []
 
-    def unconverged(*args, **kwargs):
-        est = estimate_condition(*args, **kwargs)
-        est.converged = False
-        steps.append(est.iterations)
-        return est
+    def unconverged(tsys):
+        for label, est in spectral_pencils(tsys):
+            est.converged = False
+            steps.append(est.iterations)
+            yield label, est
 
-    monkeypatch.setattr("cutprec.cli.estimate_condition", unconverged)
+    monkeypatch.setattr("cutprec.cli.spectral_pencils", unconverged)
     assert main(["cond", "--max-level", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]
     assert len(lines) == 3 and all(n > 0 for n in steps)
     for ln, n in zip(lines, steps):
-        assert ln.endswith(f"]  steps={n}  lower bound: Lanczos not "
-                           "converged")
+        assert re.search(rf"\]  (gamma=\S+  )?steps={n}  lower bound: "
+                         "Lanczos not converged$", ln), ln
 
 
 def test_cli_config_file_with_overrides(tmp_path):

@@ -7,11 +7,13 @@ the formatting shows here.  The tables hold kappa to 4 and errors to 7
 significant digits, far above the run-to-run noise of the BLAS.
 
 cond_l2.txt is the stdout of `cutprec cond --level 2` from SuperLU exact
-solves, before the banded Cholesky; only its header has changed since, when
-the estimator lost its `method=` field.  cond_fd_l2.txt is the same output
-for the fictitious-domain problem, written before the pencils brought their
-own B-solves.  They reach the Lanczos pencils and their step counts, which
-no study table at levels 0-1 does.  The BLAS thread count moves kappa in
+solves, before the banded Cholesky; since then its header lost the
+estimator's `method=` field, and its D_A line took the splitting constant
+`gamma=` and the step count of the Lanczos run on the strip space, with
+the same kappa and eigenvalue range.  cond_fd_l2.txt is the same output for
+the fictitious-domain problem, written before the pencils brought their
+own B-solves and changed in its D_A line alike.  They reach the Lanczos
+runs and their step counts, which no study table at levels 0-1 does.  The BLAS thread count moves kappa in
 the 13th digit, enough to move a step count, so `cond` runs in a child
 process with one BLAS thread.
 """

@@ -1,7 +1,7 @@
 """Memory of the mesh build, the ghost lookup, assembly, error norms and
 exact solves: no facet table on any mesh, ghost facets keyed only near the
-cut strip, int32 triplets built into the matrix before the loads,
-cut-element loads and error-norm quadrature in blocks of elements, and
+cut strip, int32 triplets built into the matrix before the loads, loads
+and error-norm quadrature in blocks of elements, and
 the band of the banded Cholesky mapped outside the malloc heap.
 
 None of the blocking may change a number, so each is compared bit for bit
@@ -98,6 +98,18 @@ def oracle_accumulate_full(mesh, grads, sel, vals, sol, side, acc):
     acc[1] += float(np.sum(w * np.einsum("mqx,mqx->mq", diff, diff)))
 
 
+def oracle_add_full_loads(acc, mesh, sel, f, vdof):
+    """Loads of the uncut elements, all at once."""
+    if sel.size == 0:
+        return
+    verts = mesh.vertices[mesh.tets[sel]]
+    pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, verts)
+    fv = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(sel.size, -1)
+    bloc = mesh.volumes[sel, None] * np.einsum(
+        "q,mq,qi->mi", TET_RULE_W, fv, TET_RULE_LAM)
+    acc.add_load(bloc, vdof[mesh.tets[sel]])
+
+
 def oracle_cut_points(mesh, cutinfo, grads, side):
     """Volume quadrature of all cut elements on one side at once."""
     if side == 1:
@@ -142,10 +154,11 @@ def test_matches_full_size_oracles(problem, monkeypatch):
     mesh = MeshHierarchy.build(1).finest
     with monkeypatch.context() as patch:
         patch.setattr(assembly, "_SystemAccumulator", OracleAccumulator)
+        patch.setattr(assembly, "_add_full_loads", oracle_add_full_loads)
         patch.setattr(assembly, "_add_cut_loads", oracle_add_cut_loads)
         _, _, oracle = experiments._assemble(mesh, config.x0, config)
     block = 5
-    monkeypatch.setattr(assembly, "CUT_LOAD_BLOCK", block)
+    monkeypatch.setattr(assembly, "LOAD_BLOCK", block)
     monkeypatch.setattr(experiments, "NORM_BLOCK", block)
     cutinfo, sol, tsys = experiments._assemble(mesh, config.x0, config)
     sizes = (cutinfo.minus1.size, cutinfo.minus2.size, cutinfo.n_cut)
@@ -207,6 +220,15 @@ def test_level2_assembly_peak(interface2):
     peak = traced_peak(assemble_interface, mesh, cutinfo, layout,
                        config.coefficients(), sol.f, sol.u)
     assert peak < 50.0
+
+
+def test_level2_full_loads_peak(interface2):
+    # side 2's 19,572 uncut elements all at once: 28.2 MB
+    config, mesh, cutinfo, layout, sol = interface2
+    acc = _SystemAccumulator(layout.dim)
+    peak = traced_peak(assembly._add_full_loads, acc, mesh, cutinfo.minus2,
+                       sol.f, layout.v2_dof)
+    assert peak < 5.0
 
 
 def test_level2_error_norms_peak(interface2):

@@ -2,9 +2,9 @@
 
 Dense linear algebra on small matrices serves as the oracle throughout,
 Lanczos with full reorthogonalization as that of the partially
-reorthogonalized estimator, and SuperLU's LU as that of the banded
-Cholesky; the mesh-based cases run on levels 0-2 where direct solves are
-cheap.
+reorthogonalized estimator, the full D_A pencil as that of the splitting
+constant, and SuperLU's LU as that of the banded Cholesky; the mesh-based
+cases run on levels 0-2 where direct solves are cheap.
 """
 
 import numpy as np
@@ -16,16 +16,18 @@ from types import SimpleNamespace
 
 from cutprec.assembly import (ProblemCoefficients, assemble_interface,
                               build_L, transform)
+from cutprec import experiments
 from cutprec.experiments import (ExperimentConfig, build_system,
-                                 spectral_pencils)
-from cutprec.geometry import SphereLevelSet, build_cut_info, classify
+                                 multigrid_active_sets, spectral_pencils)
+from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.space import (FICTITIOUS, INTERFACE, build_dof_layout,
                            build_index_sets)
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
                             GeometricMultigrid, SymmetricGaussSeidel,
                             _lanczos_extremes, build_prolongations,
-                            estimate_condition, make_preconditioner, pcg)
+                            estimate_condition, make_preconditioner, pcg,
+                            splitting_estimate)
 
 X0 = np.array([0.001, 0.002, 0.003])
 
@@ -328,12 +330,25 @@ def oracle_direct_solve(M):
     return spla.splu(sp.csc_matrix(M)).solve
 
 
+def oracle_pencils(tsys):
+    """The operators behind the estimates of spectral_pencils, by label,
+    as (A, B, B_solve) for estimate_condition.  kappa(D_A^-1 Ahat) is the
+    full pencil (Ahat, diag(A0, A1)) solved by BlockExact, as the program
+    estimated it before the splitting constant: its oracle."""
+    D1 = sp.diags(tsys.A1.diagonal()).tocsr()
+    return {"kappa2(Ahat)": (tsys.Ahat, None, None),
+            "kappa(DA^-1 Ahat)": (
+                tsys.Ahat, sp.block_diag([tsys.A0, tsys.A1], format="csr"),
+                make_preconditioner("BlockExact", tsys)),
+            "kappa(D1^-1 A1)": (tsys.A1, D1, DirectSolve(D1))}
+
+
 @pytest.fixture(scope="module")
 def exact_solve_matrices(hierarchy2):
     """Every kind of matrix the program factors exactly, per problem and
     level: both blocks, the D1 pencil matrix and the multigrid coarse
     operator; and the D_A pencil matrix, which the program no longer
-    factors (its B-solve is the BlockExact preconditioner), as a
+    builds (it estimates kappa from the splitting constant), as a
     two-component matrix one band must still solve."""
     cache = {}
 
@@ -342,8 +357,8 @@ def exact_solve_matrices(hierarchy2):
             t = build_system(ExperimentConfig(problem=problem), level=level)
             sub = hierarchy2.truncated(level)
             mg = GeometricMultigrid(t.A0, build_prolongations(
-                sub, multigrid_active_sets(sub, problem)))
-            pencils = dict(spectral_pencils(t))
+                sub, multigrid_active_sets(sub, X0, problem)))
+            pencils = oracle_pencils(t)
             cache[problem, level] = {
                 "A0": t.A0, "A1": t.A1,
                 "DA": pencils["kappa(DA^-1 Ahat)"][1],
@@ -366,18 +381,60 @@ def test_direct_solve_matches_superlu_oracle(exact_solve_matrices, problem,
 
 
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
-def test_da_pencil_solve_is_block_exact(exact_solve_matrices, problem):
-    """The D_A pencil is solved by the BlockExact preconditioner, block by
-    block bit for bit as the factors of A0 and A1 alone."""
+def test_da_pencil_solve_is_block_exact(exact_solve_matrices, problem,
+                                        monkeypatch):
+    """kappa(D_A^-1 Ahat) is the splitting estimate of Ahat's coupling
+    block, with solves of A0 and A1 bit for bit those of their factors
+    alone."""
     m = exact_solve_matrices(problem, 2)
     t = build_system(ExperimentConfig(problem=problem), level=2)
-    _, B, B_solve = dict(spectral_pencils(t))["kappa(DA^-1 Ahat)"]
-    assert B_solve.kind == "BlockExact"
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return splitting_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "splitting_estimate", recorded)
+    dict(spectral_pencils(t))
+    (A01, A1, solve0, solve1), = calls
     n0 = m["A0"].shape[0]
-    r = np.random.default_rng(5).standard_normal(B.shape[0])
-    x = B_solve.apply(r)
-    assert np.array_equal(x[:n0], DirectSolve(m["A0"]).apply(r[:n0]))
-    assert np.array_equal(x[n0:], DirectSolve(m["A1"]).apply(r[n0:]))
+    assert abs(A01 - t.Ahat[:n0, n0:]).max() == 0.0
+    assert abs(A1 - m["A1"]).max() == 0.0
+    rng = np.random.default_rng(5)
+    r0, r1 = rng.standard_normal(n0), rng.standard_normal(A1.shape[0])
+    assert np.array_equal(solve0.apply(r0), DirectSolve(m["A0"]).apply(r0))
+    assert np.array_equal(solve1.apply(r1), DirectSolve(m["A1"]).apply(r1))
+
+
+# kappa from the splitting constant against the full D_A pencil, both by
+# Lanczos: the two agree to 1e-8 relative, and the splitting run on the
+# strip space takes fewer steps than the pencil on all dofs.
+@pytest.mark.parametrize("x0", [(0.001, 0.002, 0.003), (0.05, 0.1, 0.15),
+                                (0.02, 0.04, 0.06)])
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_splitting_estimate_matches_da_pencil(problem, level, x0):
+    t = build_system(ExperimentConfig(problem=problem, x0=x0), level)
+    n0 = t.A0.shape[0]
+    est = splitting_estimate(t.Ahat[:n0, n0:], t.A1, DirectSolve(t.A0),
+                             DirectSolve(t.A1))
+    ref = estimate_condition(*oracle_pencils(t)["kappa(DA^-1 Ahat)"])
+    assert est.converged and ref.converged
+    assert est.kappa == pytest.approx(ref.kappa, rel=1e-8, abs=0)
+    assert (est.lam_min, est.lam_max) == (1 - est.gamma, 1 + est.gamma)
+    assert est.iterations < ref.iterations
+
+
+def test_splitting_estimate_rejects_gamma_at_least_one():
+    # with A1 scaled by 0.01, gamma^2 grows a hundredfold, past 1: the
+    # Schur complement A1 - A01^T A0^-1 A01 is indefinite
+    t = build_system(ExperimentConfig(), level=1)
+    n0 = t.A0.shape[0]
+    A1 = 0.01 * t.A1
+    with pytest.raises(ValueError, match=r"splitting constant gamma = "
+                                         r"\S+ >= 1"):
+        splitting_estimate(t.Ahat[:n0, n0:], A1, DirectSolve(t.A0),
+                           DirectSolve(A1))
 
 
 def oracle_prolongations(hierarchy, active_sets):
@@ -414,17 +471,6 @@ def oracle_prolongations(hierarchy, active_sets):
     return prols
 
 
-def multigrid_active_sets(hierarchy, problem):
-    """The vertex sets the studies give the multigrid block: interior box
-    vertices (interface) or vertices inside the sphere (fictitious)."""
-    if problem == INTERFACE:
-        return [np.flatnonzero(~m.boundary_vertex_flags)
-                for m in hierarchy.levels]
-    levelset = SphereLevelSet(center=X0)
-    return [np.flatnonzero(classify(m, levelset)[1] < 0.0)
-            for m in hierarchy.levels]
-
-
 def assert_same_csr(got, want, what):
     assert got.shape == want.shape, what
     for name in ("indptr", "indices", "data"):
@@ -435,7 +481,7 @@ def assert_same_csr(got, want, what):
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_prolongations_match_index_map_oracle(problem):
     hierarchy = MeshHierarchy.build(3)
-    active = multigrid_active_sets(hierarchy, problem)
+    active = multigrid_active_sets(hierarchy, X0, problem)
     got = build_prolongations(hierarchy, active)
     want = oracle_prolongations(hierarchy, active)
     assert len(got) == len(want) == 3
@@ -543,7 +589,7 @@ def test_shared_block_solvers_match_preconditioners_built_alone(hierarchy2,
     either build order, run PCG bit for bit as each one built alone."""
     tsys = build_system(ExperimentConfig(problem=problem), level=1)
     sub = hierarchy2.truncated(1)
-    active = multigrid_active_sets(sub, problem)
+    active = multigrid_active_sets(sub, X0, problem)
 
     def solve(kind, blocks=None):
         P = make_preconditioner(kind, tsys, hierarchy=sub,
@@ -643,7 +689,7 @@ def test_lanczos_generalized_pencil_matches_dense(case, interface_systems):
         B = sp.diags(np.linspace(0.5, 4.0, 150)).tocsr()
         B_solve, rel, steps = DirectSolve(B), 1e-6, None
     else:
-        A, B, B_solve = dict(spectral_pencils(interface_systems[1]))[
+        A, B, B_solve = oracle_pencils(interface_systems[1])[
             "kappa(DA^-1 Ahat)"]
         rel, steps = 1e-7, 88
     lo, hi = dense_extremes(A, B)
@@ -737,8 +783,7 @@ def level1_systems():
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_lanczos_matches_full_reorthogonalization(level1_systems, problem,
                                                   x0, label):
-    A, B, B_solve = dict(spectral_pencils(level1_systems(problem, x0)))[
-        label]
+    A, B, B_solve = oracle_pencils(level1_systems(problem, x0))[label]
     lo, hi, converged, steps = _lanczos_extremes(A, B, B_solve, None, 0)
     ref_lo, ref_hi, ref_converged, ref_steps = \
         oracle_lanczos_extremes(A, B, B_solve, None, 0)
