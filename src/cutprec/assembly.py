@@ -10,7 +10,9 @@ by the space module:
 
 Right-hand-side callables are vectorized: f(points) with points (n, 3)
 returns (n,).  Interface Dirichlet data is g(points, side); fictitious
-domain trace data is g(points).
+domain trace data is g(points).  The loads, and the error norms of the
+experiments module, integrate over a side with one volume quadrature,
+volume_point_blocks.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .geometry import CUT, NEG, POS, CutInfo, TET_RULE_LAM, TET_RULE_W, \
 from .mesh import Mesh
 from .space import DofLayout, FICTITIOUS, INTERFACE
 
-# elements per block of the load quadrature, cut or not
-LOAD_BLOCK = 1024
+# elements per block of the volume quadrature, cut or not
+QUADRATURE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -229,46 +231,48 @@ def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
     acc.add_local(local, vdof[verts], lift)
 
 
-def _add_full_loads(acc, mesh, sel, f, vdof):
-    for start in range(0, sel.size, LOAD_BLOCK):
-        blk = sel[start:start + LOAD_BLOCK]
-        verts = mesh.vertices[mesh.tets[blk]]
-        pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, verts)
-        fv = np.asarray(f(pts.reshape(-1, 3)),
-                        dtype=float).reshape(blk.size, -1)
-        bloc = mesh.volumes[blk, None] * np.einsum(
-            "q,mq,qi->mi", TET_RULE_W, fv, TET_RULE_LAM)
-        acc.add_load(bloc, vdof[mesh.tets[blk]])
+def volume_point_blocks(mesh: Mesh, cutinfo: CutInfo, side: int):
+    """One side's volume quadrature in blocks of QUADRATURE_BLOCK elements:
+    first the side's uncut elements under the tet rule, then its part of the
+    cut elements under their cut rules.
 
-
-def cut_point_blocks(mesh: Mesh, cutinfo: CutInfo, grads, side: int,
-                     size: int):
-    """Volume quadrature of the cut elements on one side, in blocks of size
-    consecutive cut elements.
-
-    Yields per block the points, their weights, the element of each point
-    and the point's barycentric coordinates in that element, shape (n, 4).
+    Yields per block the points (n, 3), their weights (n,), their
+    barycentric coordinates (n, 4), the block's elements (m,) and the owner
+    of each point, an index into those elements (n,).
     """
+    full = cutinfo.minus1 if side == 1 else cutinfo.minus2
+    for start in range(0, full.size, QUADRATURE_BLOCK):
+        elems = full[start:start + QUADRATURE_BLOCK]
+        pts = TET_RULE_LAM @ mesh.vertices[mesh.tets[elems]]
+        yield (pts.reshape(-1, 3),
+               (mesh.volumes[elems, None] * TET_RULE_W).ravel(),
+               np.tile(TET_RULE_LAM, (elems.size, 1)), elems,
+               np.repeat(np.arange(elems.size), TET_RULE_W.size))
     if side == 1:
-        pts, w, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
+        vpts, vw, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
     else:
-        pts, w, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
-    for first in range(0, cutinfo.n_cut, size):
-        stop = min(first + size, cutinfo.n_cut)
-        span = slice(off[first], off[stop])
-        tids = cutinfo.cut_tets[np.repeat(np.arange(first, stop),
-                                          np.diff(off[first:stop + 1]))]
+        vpts, vw, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
+    grads = mesh.gradients
+    for first in range(0, cutinfo.n_cut, QUADRATURE_BLOCK):
+        elems = cutinfo.cut_tets[first:first + QUADRATURE_BLOCK]
+        bounds = off[first:first + elems.size + 1]
+        span = slice(bounds[0], bounds[-1])
+        owner = np.repeat(np.arange(elems.size), np.diff(bounds))
+        tids = elems[owner]
         lam = np.einsum("pix,px->pi", grads[tids],
-                        pts[span] - mesh.vertices[mesh.tets[tids, 0]])
+                        vpts[span] - mesh.vertices[mesh.tets[tids, 0]])
         lam[:, 0] += 1.0
-        yield pts[span], w[span], tids, lam
+        yield vpts[span], vw[span], lam, elems, owner
 
 
-def _add_cut_loads(acc, mesh, cutinfo, grads, side, f, vdof):
-    for pts, w, tids, lam in cut_point_blocks(mesh, cutinfo, grads, side,
-                                              LOAD_BLOCK):
-        fv = np.asarray(f(pts), dtype=float)
-        acc.add_load((w * fv)[:, None] * lam, vdof[mesh.tets[tids]])
+def _add_loads(acc, mesh, cutinfo, side, f, vdof):
+    """Load vector of f over one side, summed per element before it is
+    added."""
+    for pts, w, lam, elems, owner in volume_point_blocks(mesh, cutinfo, side):
+        wf = w * np.asarray(f(pts), dtype=float)
+        bloc = np.stack([np.bincount(owner, wf * lam[:, i], elems.size)
+                         for i in range(4)], axis=1)
+        acc.add_load(bloc, vdof[mesh.tets[elems]])
 
 
 def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
@@ -316,10 +320,8 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                liftvals[:, 1])
     A = acc.matrix()
 
-    _add_full_loads(acc, mesh, cutinfo.minus1, f, layout.v1_dof)
-    _add_full_loads(acc, mesh, cutinfo.minus2, f, layout.v2_dof)
-    _add_cut_loads(acc, mesh, cutinfo, grads, 1, f, layout.v1_dof)
-    _add_cut_loads(acc, mesh, cutinfo, grads, 2, f, layout.v2_dof)
+    _add_loads(acc, mesh, cutinfo, 1, f, layout.v1_dof)
+    _add_loads(acc, mesh, cutinfo, 2, f, layout.v2_dof)
     return A, acc.b
 
 
@@ -363,8 +365,7 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                None)
     A = acc.matrix()
 
-    _add_full_loads(acc, mesh, cutinfo.minus1, f, layout.v1_dof)
-    _add_cut_loads(acc, mesh, cutinfo, grads, 1, f, layout.v1_dof)
+    _add_loads(acc, mesh, cutinfo, 1, f, layout.v1_dof)
     return A, acc.b
 
 

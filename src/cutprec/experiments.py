@@ -16,17 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
-                       assemble_interface, build_L, cut_point_blocks,
-                       dirichlet_values, transform)
-from .geometry import (SphereLevelSet, TET_RULE_LAM, TET_RULE_W,
-                       build_cut_info, classify)
+                       assemble_interface, build_L, dirichlet_values,
+                       transform, volume_point_blocks)
+from .geometry import SphereLevelSet, build_cut_info, classify
 from .mesh import MeshHierarchy
 from .solver import (PRECONDITIONER_KINDS, DirectSolve, estimate_condition,
                      make_preconditioner, pcg, splitting_estimate)
 from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
-
-# elements per block of the error-norm quadrature
-NORM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -242,58 +238,25 @@ class StudyResult:
         return out
 
 
-def _expand_side_values(layout, y, side, lift):
-    """Vertex values of the side restriction of the solved function.
+def _accumulate(mesh, cutinfo, vals, sol, side, acc):
+    """Add one side's squared L2 and H1-seminorm errors to acc.
 
-    y is the side-block coefficient vector; the other vertices keep their
-    value in lift, the side's Dirichlet lift.
+    The squared errors of all the side's points meet their weights in one
+    dot product, so the blocking of the quadrature changes no number.
     """
-    dof = layout.v1_dof if side == 1 else layout.v2_dof
-    verts = layout.v1_vertices if side == 1 else layout.v2_vertices
-    vals = lift.copy()
-    vals[verts] = y[dof[verts]]
-    return vals
-
-
-def _accumulate_full(mesh, grads, sel, vals, sol, side, acc):
-    if sel.size == 0:
-        return
-    w = mesh.volumes[sel, None] * TET_RULE_W[None, :]
-    err_u = np.empty_like(w)  # squared errors at each quadrature point
-    err_g = np.empty_like(w)
-    for start in range(0, sel.size, NORM_BLOCK):
-        blk = sel[start:start + NORM_BLOCK]
-        rows = slice(start, start + blk.size)
-        verts = mesh.tets[blk]
-        pts = np.einsum("qi,mix->mqx", TET_RULE_LAM, mesh.vertices[verts])
-        ue, ge = sol.u_and_grad(pts.reshape(-1, 3), side)
-        uh = np.einsum("qi,mi->mq", TET_RULE_LAM, vals[verts])
-        gh = np.einsum("mix,mi->mx", grads[blk], vals[verts])
-        err_u[rows] = (ue.reshape(blk.size, -1) - uh) ** 2
-        diff = ge.reshape(blk.size, -1, 3) - gh[:, None, :]
-        err_g[rows] = np.einsum("mqx,mqx->mq", diff, diff)
-    acc[0] += float(np.sum(w * err_u))
-    acc[1] += float(np.sum(w * err_g))
-
-
-def _accumulate_cut(mesh, grads, cutinfo, vals, sol, side, acc):
-    w = cutinfo.vw1 if side == 1 else cutinfo.vw2
-    err_u = np.empty_like(w)  # squared errors at each quadrature point
-    err_g = np.empty_like(w)
-    done = 0
-    for pts, _, tids, lam in cut_point_blocks(mesh, cutinfo, grads, side,
-                                              NORM_BLOCK):
-        rows = slice(done, done + tids.size)
-        done += tids.size
-        nodal = vals[mesh.tets[tids]]
-        uh = np.einsum("pi,pi->p", lam, nodal)
+    grads = mesh.gradients
+    ws, err_u, err_g = [], [], []
+    for pts, w, lam, elems, owner in volume_point_blocks(mesh, cutinfo, side):
+        nodal = vals[mesh.tets[elems]]
         ue, ge = sol.u_and_grad(pts, side)
-        gh = np.einsum("pix,pi->px", grads[tids], nodal)
-        err_u[rows] = (ue - uh) ** 2
-        diff = ge - gh
-        err_g[rows] = np.einsum("px,px->p", diff, diff)
-    acc[0] += float(w @ err_u)
-    acc[1] += float(w @ err_g)
+        uh = np.einsum("pi,pi->p", lam, nodal[owner])
+        diff = ge - np.einsum("mix,mi->mx", grads[elems], nodal)[owner]
+        ws.append(w)
+        err_u.append((ue - uh) ** 2)
+        err_g.append(np.einsum("px,px->p", diff, diff))
+    w = np.concatenate(ws)
+    acc[0] += float(w @ np.concatenate(err_u))
+    acc[1] += float(w @ np.concatenate(err_g))
 
 
 def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
@@ -301,26 +264,22 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
 
     Integration runs over both physical subdomains for the interface
     problem and over the inside region only for the fictitious domain,
-    using the same cut quadrature as the assembly.
+    using the same volume quadrature as the loads.
     """
-    grads = mesh.gradients
     acc = [0.0, 0.0]
     if layout.problem == INTERFACE:
-        lift = dirichlet_values(mesh, sol.u)
-        vals1 = _expand_side_values(layout, y, 1, lift[:, 0])
-        vals2 = _expand_side_values(layout, y, 2, lift[:, 1])
-        _accumulate_full(mesh, grads, cutinfo.minus1, vals1, sol, 1, acc)
-        _accumulate_full(mesh, grads, cutinfo.minus2, vals2, sol, 2, acc)
-        _accumulate_cut(mesh, grads, cutinfo, vals1, sol, 1, acc)
-        _accumulate_cut(mesh, grads, cutinfo, vals2, sol, 2, acc)
+        lift, sides = dirichlet_values(mesh, sol.u), (1, 2)
     else:
-        vals1 = _expand_side_values(layout, y, 1, np.zeros(mesh.n_vertices))
-        _accumulate_full(mesh, grads, cutinfo.minus1, vals1, sol, 1, acc)
-        _accumulate_cut(mesh, grads, cutinfo, vals1, sol, 1, acc)
-    l2 = float(np.sqrt(acc[0]))
-    semi = float(np.sqrt(acc[1]))
-    return ErrorNorms(l2=l2, h1_semi=semi,
-                      h1_full=float(np.sqrt(acc[0] + acc[1])))
+        lift, sides = np.zeros((mesh.n_vertices, 1)), (1,)
+    for side in sides:
+        # the side's vertex values; the others keep the side's lift
+        dof = layout.v1_dof if side == 1 else layout.v2_dof
+        verts = layout.v1_vertices if side == 1 else layout.v2_vertices
+        vals = lift[:, side - 1].copy()
+        vals[verts] = y[dof[verts]]
+        _accumulate(mesh, cutinfo, vals, sol, side, acc)
+    l2, semi, full = np.sqrt([acc[0], acc[1], acc[0] + acc[1]])
+    return ErrorNorms(l2=float(l2), h1_semi=float(semi), h1_full=float(full))
 
 
 def spectral_pencils(tsys: TransformedSystem):
@@ -347,9 +306,14 @@ def _assemble(mesh, x0, config: ExperimentConfig):
     problem in the split basis.
 
     Returns the cut info, the manufactured solution and the transformed
-    system.
+    system.  Raises if the sphere cuts no element: the split basis then
+    has no strip block, which the studies and estimates need.
     """
     cutinfo = build_cut_info(mesh, SphereLevelSet(center=x0))
+    if cutinfo.n_cut == 0:
+        raise ValueError(f"the unit sphere around x0 = "
+                         f"{tuple(map(float, x0))} cuts no element of the "
+                         f"level-{mesh.level} mesh")
     layout = build_dof_layout(build_index_sets(mesh, cutinfo, config.problem))
     coeffs = config.coefficients()
     if config.problem == INTERFACE:

@@ -14,7 +14,6 @@ of the two blocks.
 from __future__ import annotations
 
 import mmap
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ class SolveReport:
     iterations: int
     residuals: np.ndarray
     converged: bool
-    seconds: float
 
 
 class DirectSolve:
@@ -179,7 +177,6 @@ def pcg(A: sp.spmatrix, b: np.ndarray, precond, tol: float = 1e-6,
     extra.  Raises if the preconditioner loses positive definiteness or the
     budget is exhausted.
     """
-    start = time.perf_counter()
     x = np.zeros_like(b, dtype=float)
     r = np.asarray(b, dtype=float).copy()
     z = precond.apply(r)
@@ -189,8 +186,7 @@ def pcg(A: sp.spmatrix, b: np.ndarray, precond, tol: float = 1e-6,
 
     def report(k, converged):
         return SolveReport(iterations=k, residuals=np.array(history),
-                           converged=converged,
-                           seconds=time.perf_counter() - start)
+                           converged=converged)
 
     if norm0 == 0.0:
         return x, report(0, True)

@@ -11,6 +11,7 @@ from cutprec.assembly import (
     build_L,
     dirichlet_values,
     transform,
+    volume_point_blocks,
 )
 from cutprec.experiments import ExperimentConfig, build_system
 from cutprec.geometry import SphereLevelSet, build_cut_info
@@ -352,6 +353,29 @@ def test_damaged_cut_rules_rejected(interface1):
     with pytest.raises(ValueError):
         assemble_interface(mesh, broken, layout, ProblemCoefficients(), zero,
                            lambda pts, side: zero(pts))
+
+
+@pytest.mark.parametrize("fixture, side", [
+    ("interface1", 1), ("interface1", 2),
+    ("fictitious1", 1),  # the fictitious domain integrates side 1 only
+])
+def test_volume_point_blocks(fixture, side, request):
+    mesh, ci, _ = request.getfixturevalue(fixture)
+    blocks = list(volume_point_blocks(mesh, ci, side))
+    pts, w, lam = (np.concatenate([b[k] for b in blocks]) for k in range(3))
+    owners = np.concatenate([elems[owner] for _, _, _, elems, owner
+                             in blocks])
+    elems = np.concatenate([b[3] for b in blocks])
+    assert all(b[3].size <= assembly.QUADRATURE_BLOCK for b in blocks)
+
+    meas = assembly._side_measures(mesh, ci)[side - 1]
+    assert w.sum() == pytest.approx(meas.sum(), rel=1e-12)
+    assert np.max(np.abs(lam.sum(axis=1) - 1.0)) <= 1e-13
+    mapped = np.einsum("pi,pix->px", lam, mesh.vertices[mesh.tets[owners]])
+    assert np.max(np.abs(mapped - pts)) <= 1e-13
+    ext = ci.ext1 if side == 1 else ci.ext2
+    assert np.isin(owners, ext).all()
+    assert np.array_equal(np.sort(elems), ext)  # each element once
 
 
 def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,

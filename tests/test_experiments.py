@@ -491,3 +491,21 @@ def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, content,
                  "0", "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command, level", [
+    (["interface-study", "--max-level", "1"], 0),
+    (["fd-study", "--max-level", "1"], 0),
+    (["cond", "--level", "1"], 1)])
+def test_cli_rejects_a_sphere_that_cuts_nothing(tmp_path, capsys, command,
+                                                level):
+    # the sphere around (5, 5, 5) misses the box: the message names x0 and
+    # the mesh level, before any table or estimate is written
+    assert main(command + ["--x0", "5", "5", "5", "--output-dir",
+                          str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert (f"the unit sphere around x0 = (5.0, 5.0, 5.0) cuts no element "
+            f"of the level-{level} mesh") in err
+    assert out == ""
+    assert not list(tmp_path.glob("*.csv"))

@@ -1,14 +1,19 @@
 """Memory of the mesh build, the ghost lookup, assembly, error norms and
 exact solves: no facet table on any mesh, ghost facets keyed only near the
-cut strip, int32 triplets built into the matrix before the loads, loads
-and error-norm quadrature in blocks of elements, and
-the band of the banded Cholesky mapped outside the malloc heap.
+cut strip, int32 triplets built into the matrix before the loads, one
+volume quadrature per side in blocks of elements for the loads and the
+error norms, and the band of the banded Cholesky mapped outside the malloc
+heap.
 
-None of the blocking may change a number, so each is compared bit for bit
-with the full-size code it replaced, kept here as the oracle (the facet
-table is in tests/test_mesh.py), and the level-2 peaks it was made for are
-bounded (tracemalloc, plus the bands, which are mapped outside the traced
-heap).
+None of the blocking may change a number, so a block of 5 elements is
+compared bit for bit with one block holding every element, and the int32
+triplets with the int64 accumulator they replaced; the level-2 peaks the
+blocking was made for are bounded (tracemalloc, plus the bands, which are
+mapped outside the traced heap).  The per-side quadrature replaced four
+loops, uncut and cut elements for the loads and for the error norms; they
+are kept here, at full size, as the oracles that the loads and the norms
+must match to 1e-12 relative (the summation order changed).  The facet
+table is in tests/test_mesh.py.
 """
 
 import tracemalloc
@@ -148,36 +153,73 @@ def assert_same_csr(A, B):
         assert np.array_equal(a, b), part
 
 
+def oracle_add_loads(acc, mesh, cutinfo, side, f, vdof):
+    full = cutinfo.minus1 if side == 1 else cutinfo.minus2
+    oracle_add_full_loads(acc, mesh, full, f, vdof)
+    oracle_add_cut_loads(acc, mesh, cutinfo, mesh.gradients, side, f, vdof)
+
+
+def oracle_accumulate(mesh, cutinfo, vals, sol, side, acc):
+    full = cutinfo.minus1 if side == 1 else cutinfo.minus2
+    oracle_accumulate_full(mesh, mesh.gradients, full, vals, sol, side, acc)
+    oracle_accumulate_cut(mesh, mesh.gradients, cutinfo, vals, sol, side,
+                          acc)
+
+
+def assemble_and_norms(mesh, config):
+    """The transformed system, its exact solution y in the side-block basis
+    and the error norms of y."""
+    cutinfo, sol, tsys = experiments._assemble(mesh, config.x0, config)
+    y = tsys.L @ spla.spsolve(tsys.Ahat.tocsc(), tsys.bhat)
+    return cutinfo, tsys, y, error_norms(mesh, cutinfo, tsys.layout, y, sol)
+
+
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_matches_full_size_oracles(problem, monkeypatch):
     config = ExperimentConfig(problem=problem)
     mesh = MeshHierarchy.build(1).finest
-    with monkeypatch.context() as patch:
-        patch.setattr(assembly, "_SystemAccumulator", OracleAccumulator)
-        patch.setattr(assembly, "_add_full_loads", oracle_add_full_loads)
-        patch.setattr(assembly, "_add_cut_loads", oracle_add_cut_loads)
-        _, _, oracle = experiments._assemble(mesh, config.x0, config)
+    monkeypatch.setattr(assembly, "QUADRATURE_BLOCK", mesh.n_tets)
+    _, whole, _, whole_norms = assemble_and_norms(mesh, config)
     block = 5
-    monkeypatch.setattr(assembly, "LOAD_BLOCK", block)
-    monkeypatch.setattr(experiments, "NORM_BLOCK", block)
-    cutinfo, sol, tsys = experiments._assemble(mesh, config.x0, config)
+    monkeypatch.setattr(assembly, "QUADRATURE_BLOCK", block)
+    cutinfo, tsys, _, norms = assemble_and_norms(mesh, config)
     sizes = (cutinfo.minus1.size, cutinfo.minus2.size, cutinfo.n_cut)
     assert all(n > 2 * block for n in sizes)
     assert any(n % block for n in sizes)  # a ragged last block
     for name in ("Ahat", "A0", "A1", "L"):
+        assert_same_csr(getattr(tsys, name), getattr(whole, name))
+    assert np.array_equal(tsys.bhat, whole.bhat)
+    assert norms == whole_norms
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_int32_triplets_match_int64_oracle(problem, monkeypatch):
+    config = ExperimentConfig(problem=problem)
+    mesh = MeshHierarchy.build(1).finest
+    tsys = experiments._assemble(mesh, config.x0, config)[2]
+    monkeypatch.setattr(assembly, "_SystemAccumulator", OracleAccumulator)
+    oracle = experiments._assemble(mesh, config.x0, config)[2]
+    for name in ("Ahat", "A0", "A1", "L"):
         assert_same_csr(getattr(tsys, name), getattr(oracle, name))
     assert np.array_equal(tsys.bhat, oracle.bhat)
 
-    y = tsys.L @ spla.spsolve(tsys.Ahat.tocsc(), tsys.bhat)
-    blocked = error_norms(mesh, cutinfo, tsys.layout, y, sol)
-    monkeypatch.setattr(experiments, "_accumulate_full",
-                        oracle_accumulate_full)
-    monkeypatch.setattr(experiments, "_accumulate_cut",
-                        oracle_accumulate_cut)
-    whole = error_norms(mesh, cutinfo, tsys.layout, y, sol)
-    assert blocked.l2 == whole.l2
-    assert blocked.h1_semi == whole.h1_semi
-    assert blocked.h1_full == whole.h1_full
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_volume_quadrature_matches_old_loops(problem, monkeypatch):
+    # level 1: bhat moves by 3.8e-16 (interface) and 2.2e-15 (fictitious
+    # domain), the norms by 0 and 1.2e-16
+    config = ExperimentConfig(problem=problem)
+    mesh = MeshHierarchy.build(1).finest
+    cutinfo, tsys, y, norms = assemble_and_norms(mesh, config)
+    monkeypatch.setattr(assembly, "_add_loads", oracle_add_loads)
+    monkeypatch.setattr(experiments, "_accumulate", oracle_accumulate)
+    _, sol, oracle = experiments._assemble(mesh, config.x0, config)
+    assert np.max(np.abs(tsys.bhat - oracle.bhat)) <= \
+        1e-12 * np.max(np.abs(oracle.bhat))
+    old = error_norms(mesh, cutinfo, tsys.layout, y, sol)
+    for name in ("l2", "h1_semi", "h1_full"):
+        assert getattr(norms, name) == pytest.approx(getattr(old, name),
+                                                     rel=1e-12, abs=0.0)
 
 
 def test_accumulator_rejects_dofs_beyond_int32():
@@ -222,13 +264,15 @@ def test_level2_assembly_peak(interface2):
     assert peak < 50.0
 
 
-def test_level2_full_loads_peak(interface2):
-    # side 2's 19,572 uncut elements all at once: 28.2 MB
+def test_level2_loads_peak(interface2):
+    # side 2, uncut and cut elements in blocks: 7.6 MB; the cut elements
+    # alone took 7.2 MB when they had a loop of their own, and side 2's
+    # 19,572 uncut elements all at once took 28.2 MB
     config, mesh, cutinfo, layout, sol = interface2
     acc = _SystemAccumulator(layout.dim)
-    peak = traced_peak(assembly._add_full_loads, acc, mesh, cutinfo.minus2,
-                       sol.f, layout.v2_dof)
-    assert peak < 5.0
+    peak = traced_peak(assembly._add_loads, acc, mesh, cutinfo, 2, sol.f,
+                       layout.v2_dof)
+    assert peak < 12.0
 
 
 def test_level2_error_norms_peak(interface2):
