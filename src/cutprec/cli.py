@@ -78,7 +78,8 @@ def _cmd_cond(args) -> int:
     tsys = build_system(config, level=level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
     print(f"problem={config.problem} level={level} N0={n0} N1={n1}")
-    for label, est in spectral_pencils(tsys):
+    for label, estimate in spectral_pencils(tsys).items():
+        est = estimate()
         gamma = "" if est.gamma is None else f"  gamma={est.gamma:.4e}"
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "

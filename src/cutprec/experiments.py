@@ -41,68 +41,49 @@ class ManufacturedSolution:
     f: callable
 
 
-def _cubic_parts(pts, x0):
-    xh = pts - x0
-    p = 3.0 * xh[:, 0] ** 2 * xh[:, 1] - xh[:, 1] ** 3
-    r2 = np.sum(xh * xh, axis=1)
-    return xh, p, r2, np.exp(1.0 - r2)
+def _solution(x0, shift: float, scales: dict) -> ManufacturedSolution:
+    """u_s = p (exp(1-|xh|^2) - shift) / scales[s] on side s, with p =
+    3 xh_1^2 xh_2 - xh_2^3 and xh = x - x0.  p is harmonic, so
+    -scales[s] Laplace(u_s) is the load f = p exp(1-|xh|^2) (18 -
+    4|xh|^2) on every side, whatever the shift."""
+    x0 = np.asarray(x0, dtype=float)
 
+    def parts(pts):
+        xh = np.asarray(pts, dtype=float) - x0
+        p = 3.0 * xh[:, 0] ** 2 * xh[:, 1] - xh[:, 1] ** 3
+        r2 = np.sum(xh * xh, axis=1)
+        return xh, p, r2, np.exp(1.0 - r2)
 
-def _cubic_gradient(xh):
-    """Gradient of the harmonic cubic factor 3 xh_1^2 xh_2 - xh_2^3."""
-    return np.stack([6.0 * xh[:, 0] * xh[:, 1],
-                     3.0 * xh[:, 0] ** 2 - 3.0 * xh[:, 1] ** 2,
-                     np.zeros(xh.shape[0])], axis=1)
+    def u(pts, side=1):
+        _, p, _, E = parts(pts)
+        return p * (E - shift) / scales[side]
 
+    def u_and_grad(pts, side=1):
+        xh, p, _, E = parts(pts)
+        grad_p = np.stack([6.0 * xh[:, 0] * xh[:, 1],
+                           3.0 * xh[:, 0] ** 2 - 3.0 * xh[:, 1] ** 2,
+                           np.zeros(xh.shape[0])], axis=1)
+        return (p * (E - shift) / scales[side],
+                (grad_p * (E - shift)[:, None]
+                 - 2.0 * (p * E)[:, None] * xh) / scales[side])
 
-def _load(x0):
-    """The load f = u (18 - 4|xh|^2) of the one-sided solution u, also the
-    load of both sides of the interface solution."""
     def f(pts):
-        _, p, r2, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
+        _, p, r2, E = parts(pts)
         return p * E * (18.0 - 4.0 * r2)
 
-    return f
+    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f)
 
 
 def interface_solution(x0, alpha1: float, alpha2: float) -> ManufacturedSolution:
-    """Piecewise solution vanishing on the unit sphere around x0.
-
-    u_i = (3 xh_1^2 xh_2 - xh_2^3)(exp(1-|xh|^2) - 1) / alpha_i with
-    xh = x - x0; both interface conditions hold because the cubic factor is
-    harmonic and u_i is alpha_i-scaled, and the load is side-independent.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    alphas = {1: alpha1, 2: alpha2}
-
-    def u(pts, side):
-        _, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return p * (E - 1.0) / alphas[side]
-
-    def u_and_grad(pts, side):
-        xh, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return (p * (E - 1.0) / alphas[side],
-                (_cubic_gradient(xh) * (E - 1.0)[:, None]
-                 - 2.0 * (p * E)[:, None] * xh) / alphas[side])
-
-    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0))
+    """Piecewise solution u_i = p (exp(1-|xh|^2) - 1) / alpha_i, vanishing
+    on the unit sphere around x0; both interface conditions hold because
+    p is harmonic and u_i is alpha_i-scaled."""
+    return _solution(x0, 1.0, {1: alpha1, 2: alpha2})
 
 
 def fictitious_solution(x0) -> ManufacturedSolution:
-    """One-sided solution u = (3 xh_1^2 xh_2 - xh_2^3) exp(1-|xh|^2) with
-    load f = u (18 - 4|xh|^2)."""
-    x0 = np.asarray(x0, dtype=float)
-
-    def u(pts, side=1):
-        _, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return p * E
-
-    def u_and_grad(pts, side=1):
-        xh, p, _, E = _cubic_parts(np.asarray(pts, dtype=float), x0)
-        return p * E, E[:, None] * (_cubic_gradient(xh)
-                                    - 2.0 * p[:, None] * xh)
-
-    return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=_load(x0))
+    """One-sided solution u = p exp(1-|xh|^2)."""
+    return _solution(x0, 0.0, {1: 1.0, 2: 1.0})
 
 
 def _fits(value, like) -> bool:
@@ -152,9 +133,10 @@ class ExperimentConfig:
             raise ValueError("invalid solver controls")
         if not self.preconditioners:
             raise ValueError("at least one preconditioner required")
-        if len(set(self.preconditioners)) < len(self.preconditioners):
-            raise ValueError("preconditioners must not repeat, got "
-                             f"{list(self.preconditioners)}")
+        for name in ("deltas", "preconditioners"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
         unknown = set(self.preconditioners) - set(PRECONDITIONER_KINDS)
         if unknown:
             raise ValueError(f"unknown preconditioners {sorted(unknown)}")
@@ -267,12 +249,11 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
     using the same volume quadrature as the loads.
     """
     acc = [0.0, 0.0]
-    if layout.problem == INTERFACE:
-        lift, sides = dirichlet_values(mesh, sol.u), (1, 2)
-    else:
-        lift, sides = np.zeros((mesh.n_vertices, 1)), (1,)
-    for side in sides:
-        # the side's vertex values; the others keep the side's lift
+    lift = dirichlet_values(mesh, sol.u)
+    for side in (1, 2) if layout.problem == INTERFACE else (1,):
+        # the side's vertex values; the others keep the side's lift, which
+        # the fictitious domain never reads: every vertex of a side-1
+        # element carries a dof
         dof = layout.v1_dof if side == 1 else layout.v2_dof
         verts = layout.v1_vertices if side == 1 else layout.v2_vertices
         vals = lift[:, side - 1].copy()
@@ -282,23 +263,20 @@ def error_norms(mesh, cutinfo, layout, y, sol) -> ErrorNorms:
     return ErrorNorms(l2=float(l2), h1_semi=float(semi), h1_full=float(full))
 
 
-def spectral_pencils(tsys: TransformedSystem):
-    """The condition estimates `cutprec cond` reports, yielded as (label,
-    ConditionEstimate): kappa(Ahat); kappa(D_A^-1 Ahat), D_A = diag(A0,
-    A1), from the splitting constant gamma with exact solves of A0 and
-    A1; and the strip block A1 against its diagonal D1.
-
-    Each estimate is computed, and its solves built, only when the
-    generator reaches it, so no factor is alive while kappa(Ahat) is
-    estimated: built all at once, the A0 band would sit under the Lanczos
-    basis of kappa(Ahat)."""
-    yield "kappa2(Ahat)", estimate_condition(tsys.Ahat)
+def spectral_pencils(tsys: TransformedSystem) -> dict:
+    """The condition estimates `cutprec cond` reports, by label, each a
+    function that computes its ConditionEstimate when called: kappa(Ahat);
+    kappa(D_A^-1 Ahat), D_A = diag(A0, A1), from the splitting constant
+    gamma with exact solves of A0 and A1, built only for that call; and
+    kappa(D1^-1 A1), D1 the diagonal of A1, as kappa(S A1 S) with S =
+    D1^-1/2, to which D1^-1 A1 is similar."""
     n0 = tsys.A0.shape[0]
-    yield "kappa(DA^-1 Ahat)", splitting_estimate(
-        tsys.Ahat[:n0, n0:], tsys.A1, DirectSolve(tsys.A0),
-        DirectSolve(tsys.A1))
-    D1 = sp.diags(tsys.A1.diagonal()).tocsr()
-    yield "kappa(D1^-1 A1)", estimate_condition(tsys.A1, D1, DirectSolve(D1))
+    S = sp.diags(1.0 / np.sqrt(tsys.A1.diagonal()))
+    return {"kappa2(Ahat)": lambda: estimate_condition(tsys.Ahat),
+            "kappa(DA^-1 Ahat)": lambda: splitting_estimate(
+                tsys.Ahat[:n0, n0:], tsys.A1, DirectSolve(tsys.A0),
+                DirectSolve(tsys.A1)),
+            "kappa(D1^-1 A1)": lambda: estimate_condition(S @ tsys.A1 @ S)}
 
 
 def _assemble(mesh, x0, config: ExperimentConfig):

@@ -11,14 +11,14 @@ tetrahedra, degree 4 on triangles) are mapped onto the pieces.
 All cut elements are processed at once, in two batches by sign pattern (one
 vertex against three, two against two): the cut points, pieces and mapped
 rules of a batch are array operations, scattered into flat per-element
-arrays in element order.  The facets of the ghost penalty are found from
-the faces of the tets around the cut strip.
+arrays in element order, one CutRules record.  CutInfo is that record with
+the classification of the whole mesh added.  The facets of the ghost
+penalty are found from the faces of the tets around the cut strip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +101,8 @@ def classify(mesh: Mesh, phi) -> tuple[np.ndarray, np.ndarray]:
     return tet_class, snapped
 
 
-class CutRules(NamedTuple):
+@dataclass(frozen=True)
+class CutRules:
     """Cut quadrature of a batch of tetrahedra, flat in element order.
 
     Element c owns rows voff1[c]:voff1[c + 1] of vpts1/vw1 (side 1,
@@ -234,29 +235,15 @@ def cut_rules(verts, phi) -> CutRules:
 
 
 @dataclass(frozen=True)
-class CutInfo:
-    """Classification plus cut quadrature for a mesh/level-set pair.
-
-    The flat arrays (points, weights, offsets indexed by cut-local id) back
-    vectorized assembly loops.
-    """
+class CutInfo(CutRules):
+    """The cut rules of a mesh/level-set pair plus the class of every tet,
+    the snapped vertex level-set values, the ids of the cut tets (in the
+    rules' element order) and their side-1 volume fractions kappa1."""
 
     tet_class: np.ndarray
     vertex_phi: np.ndarray
     cut_tets: np.ndarray
     kappa1: np.ndarray
-    vol1: np.ndarray
-    vol2: np.ndarray
-    normals: np.ndarray  # (nc, 3)
-    vpts1: np.ndarray
-    vw1: np.ndarray
-    voff1: np.ndarray
-    vpts2: np.ndarray
-    vw2: np.ndarray
-    voff2: np.ndarray
-    spts: np.ndarray
-    sw: np.ndarray
-    soff: np.ndarray
 
     @property
     def n_cut(self) -> int:
@@ -307,7 +294,7 @@ def build_cut_info(mesh: Mesh, phi) -> CutInfo:
     _reject(negative, cut_tets, "negative cut quadrature weight on")
 
     return CutInfo(tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
-                   kappa1=rules.vol1 / tot, **rules._asdict())
+                   kappa1=rules.vol1 / tot, **vars(rules))
 
 
 def ghost_facets(mesh: Mesh, cutinfo: CutInfo,

@@ -1,14 +1,15 @@
 """Krylov and preconditioning kernels for the split-basis systems.
 
 Provides exact solves of symmetric positive definite matrices by banded
-Cholesky (one band in reverse Cuthill-McKee order), preconditioned conjugate gradients with the preconditioned-residual
-stopping rule, symmetric Gauss-Seidel sweeps, a geometric multigrid V-cycle
-built on the nested mesh hierarchy, the four preconditioners used in the
-solver studies, and condition estimates by Lanczos with partial
+Cholesky (one band in reverse Cuthill-McKee order), preconditioned
+conjugate gradients with the preconditioned-residual stopping rule,
+symmetric Gauss-Seidel sweeps, a geometric multigrid V-cycle built on the
+nested mesh hierarchy, the four preconditioners used in the solver
+studies, and condition estimates by Lanczos with partial
 reorthogonalization (a full Gram-Schmidt pass only when the estimated loss
 of orthogonality exceeds sqrt(eps), and one bisection for an extreme Ritz
-value per step), among them kappa(D_A^-1 Ahat) from the splitting constant
-of the two blocks.
+value per step): of one SPD matrix, and kappa(D_A^-1 Ahat) from the
+splitting constant of the two blocks, by Lanczos in the A1 inner product.
 """
 
 from __future__ import annotations
@@ -242,15 +243,14 @@ class GeometricMultigrid:
 
     Coarse operators come from Galerkin triple products of the fine matrix;
     the coarsest level is solved directly.  One application runs `cycles`
-    V-cycles as a stationary iteration from zero; with the symmetric
+    = 3 V-cycles as a stationary iteration from zero; with the symmetric
     smoother this composition is symmetric positive definite.  With no
     prolongations the apply degenerates to a direct solve.
     """
 
-    def __init__(self, A_fine: sp.spmatrix, prolongations, cycles: int = 3):
-        if cycles < 1:
-            raise ValueError("cycle count must be positive")
-        self.cycles = int(cycles)
+    cycles = 3
+
+    def __init__(self, A_fine: sp.spmatrix, prolongations):
         ops = [sp.csr_matrix(A_fine)]
         for P in reversed(list(prolongations)):
             ops.append((P.T @ ops[-1] @ P).tocsr())
@@ -458,27 +458,18 @@ def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9,
     return ritz_value(k, False), ritz_value(k, True), converged or k == n, k
 
 
-def estimate_condition(A, B=None, B_solve=None, *, budget: int = None,
+def estimate_condition(A, *, budget: int = None,
                        seed: int = 0) -> ConditionEstimate:
-    """Extreme eigenvalues and condition number of A, or of the pencil
-    (A, B) when B is given (i.e. of B^{-1}A with both operators SPD).
+    """Extreme eigenvalues and condition number of the SPD matrix A.
 
-    A pencil comes with its B-solve, anything whose apply(r) returns
-    B^{-1} r exactly: nothing is factored here.  B and B_solve are given
-    together or not at all.
-
-    Runs the Lanczos three-term recurrence in the B inner product with
-    partial reorthogonalization (a full Gram-Schmidt pass only when the
-    estimated loss of orthogonality exceeds sqrt(eps)), for at most budget
-    steps (default min(5n, 2000); at least 1), checking one extreme Ritz
-    value by bisection per step and the other once the first has settled.
-    A non-converged result is a lower bound on kappa and is flagged.
+    Runs the Lanczos three-term recurrence with partial
+    reorthogonalization (a full Gram-Schmidt pass only when the estimated
+    loss of orthogonality exceeds sqrt(eps)), for at most budget steps
+    (default min(5n, 2000); at least 1), checking one extreme Ritz value
+    by bisection per step and the other once the first has settled.  A
+    non-converged result is a lower bound on kappa and is flagged.
     """
-    if (B is None) != (B_solve is None):
-        raise ValueError("a pencil needs both B and its B-solve, got "
-                         + ("B only" if B_solve is None else "B_solve only"))
-    lo, hi, converged, steps = _lanczos_extremes(A, B, B_solve, budget,
-                                                 seed)
+    lo, hi, converged, steps = _lanczos_extremes(A, None, None, budget, seed)
     if lo <= 0.0:
         raise ValueError("operator is not positive definite "
                          f"(smallest eigenvalue {lo:.3e})")

@@ -155,11 +155,10 @@ def test_criterion_6_spectral_equivalence(interface_study, delta_sweep):
     kda, kd1 = {}, {}
     for lvl, d in studied + coarse:
         x0 = config.x0 if d is None else (d, 2 * d, 3 * d)
-        estimates = dict(spectral_pencils(
-            build_system(replace(config, x0=x0), lvl)))
+        pencils = spectral_pencils(build_system(replace(config, x0=x0), lvl))
         if (lvl, d) in studied:
-            kda[lvl, d] = estimates["kappa(DA^-1 Ahat)"]
-        kd1[lvl, d] = estimates["kappa(D1^-1 A1)"]
+            kda[lvl, d] = pencils["kappa(DA^-1 Ahat)"]()
+        kd1[lvl, d] = pencils["kappa(D1^-1 A1)"]()
     lower_bounds = [f"{name} {row_name(*key)}"
                     for name, ests in (("DA", kda), ("D1", kd1))
                     for key, e in ests.items() if not e.converged]

@@ -19,7 +19,6 @@ generator, and were not chosen to pass.
 """
 
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,8 +27,7 @@ from cutprec import experiments
 from cutprec.experiments import (ExperimentConfig, build_system,
                                  multigrid_active_sets, spectral_pencils)
 from cutprec.mesh import MeshHierarchy
-from cutprec.solver import (KIND_BLOCK_MG_SGS, DirectSolve,
-                            make_preconditioner, pcg, splitting_estimate)
+from cutprec.solver import KIND_BLOCK_MG_SGS, make_preconditioner, pcg
 from cutprec.space import FICTITIOUS, INTERFACE
 
 DA_FACTOR = 1.5  # acceptance criterion 6's spread of kappa(DA^-1 Ahat)
@@ -42,9 +40,8 @@ SAMPLED_CENTRES = {1: 20, 2: 6}  # per level, drawn in this order
 def kappas(config, level):
     """kappa(Ahat) and kappa(DA^-1 Ahat) of the system cut by the sphere
     around config.x0, as the estimates of the studies at this level."""
-    # the first two estimates; the third, kappa(D1^-1 A1), is not needed
-    estimates = dict(islice(spectral_pencils(build_system(config, level)), 2))
-    return estimates["kappa2(Ahat)"], estimates["kappa(DA^-1 Ahat)"]
+    pencils = spectral_pencils(build_system(config, level))
+    return pencils["kappa2(Ahat)"](), pencils["kappa(DA^-1 Ahat)"]()
 
 
 def placements(level, x0):
@@ -92,9 +89,7 @@ def sampled_position(hierarchy, problem, x0):
     the finest mesh of the hierarchy."""
     config = ExperimentConfig(problem=problem, x0=tuple(x0))
     tsys = experiments._assemble(hierarchy.finest, config.x0, config)[2]
-    n0 = tsys.A0.shape[0]
-    est = splitting_estimate(tsys.Ahat[:n0, n0:], tsys.A1,
-                             DirectSolve(tsys.A0), DirectSolve(tsys.A1))
+    est = spectral_pencils(tsys)["kappa(DA^-1 Ahat)"]()
     P = make_preconditioner(
         KIND_BLOCK_MG_SGS, tsys, hierarchy=hierarchy,
         active_sets=multigrid_active_sets(hierarchy, config.x0, problem))

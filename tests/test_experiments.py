@@ -8,6 +8,7 @@ import argparse
 import json
 import re
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_study_row_factors_each_block_once(monkeypatch):
 def test_cli_cond_builds_each_solve_at_its_pencil(monkeypatch):
     """`cutprec cond` estimates kappa(Ahat) with no factor alive, then
     kappa(DA^-1 Ahat) with the A0 and A1 factors, then kappa(D1^-1 A1)
-    with the factor of D1 alone."""
+    with no factor alive and none built for it."""
     made, at_kappa = [], []
     init = solver.DirectSolve.__init__
 
@@ -296,7 +297,7 @@ def test_cli_cond_builds_each_solve_at_its_pencil(monkeypatch):
         monkeypatch.setattr(experiments, name,
                             at_call(getattr(experiments, name)))
     assert main(["cond", "--level", "0"]) == 0
-    assert at_kappa == [(0, 0), (2, 2), (3, 1)]
+    assert at_kappa == [(0, 0), (2, 2), (2, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -404,8 +405,8 @@ def test_cli_cond_prints_shared_pencils(capsys):
     assert main(["cond", "--level", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("kappa")]
-    estimates = dict(spectral_pencils(build_system(ExperimentConfig(),
-                                                   level=0)))
+    estimates = {label: estimate() for label, estimate in spectral_pencils(
+        build_system(ExperimentConfig(), level=0)).items()}
     assert [ln.split("=")[0].rstrip() for ln in lines] == list(estimates)
     for ln, est in zip(lines, estimates.values()):
         assert ln.split("=")[1].split()[0] == f"{est.kappa:.4e}"
@@ -421,10 +422,13 @@ def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
     steps = []
 
     def unconverged(tsys):
-        for label, est in spectral_pencils(tsys):
+        def marked(estimate):
+            est = estimate()
             est.converged = False
             steps.append(est.iterations)
-            yield label, est
+            return est
+        return {label: partial(marked, estimate)
+                for label, estimate in spectral_pencils(tsys).items()}
 
     monkeypatch.setattr("cutprec.cli.spectral_pencils", unconverged)
     assert main(["cond", "--max-level", "0"]) == 0
@@ -464,7 +468,11 @@ def test_cli_rejects_bad_parameters(capsys):
     (["delta-sweep"], {"deltas": [0.0, float("nan")]},
      "deltas must be finite"),
     (["interface-study", "--preconditioners", "SGS", "SGS"], None,
-     "preconditioners must not repeat")])
+     "preconditioners must not repeat"),
+    (["delta-sweep", "--delta-level", "0", "--deltas", "0.0", "0.0"], None,
+     "deltas must not repeat"),
+    (["delta-sweep", "--delta-level", "0"], {"deltas": [0.05, 0.0, 0.05]},
+     "deltas must not repeat")])
 def test_cli_rejects_unusable_config_values(tmp_path, capsys, argv, content,
                                             named):
     # each value is refused when the config is made, naming its field,

@@ -12,9 +12,12 @@ cond_l2.txt is the stdout of `cutprec cond --level 2` from SuperLU exact
 solves, before the banded Cholesky; since then its header lost the
 estimator's `method=` field, and its D_A line took the splitting constant
 `gamma=` and the step count of the Lanczos run on the strip space, with
-the same kappa and eigenvalue range.  cond_fd_l2.txt is the same output for
-the fictitious-domain problem, written before the pencils brought their
-own B-solves and changed in its D_A line alike.  They reach the Lanczos
+the same kappa and eigenvalue range.  Its D1 line took the step count of
+the run on S A1 S, S = D1^-1/2, in place of the pencil (A1, D1): the
+Lanczos start differs, the kappa and range print the same.  cond_fd_l2.txt
+is the same output for the fictitious-domain problem, written before the
+pencils brought their own B-solves and changed in its D_A line alike; its
+D1 line kept even its step count.  They reach the Lanczos
 runs and their step counts, which no study table at levels 0-1 does.  The BLAS thread count moves kappa in
 the 13th digit, enough to move a step count, so `cond` runs in a child
 process with one BLAS thread.

@@ -3,7 +3,8 @@
 Dense linear algebra on small matrices serves as the oracle throughout,
 Lanczos with full reorthogonalization as that of the partially
 reorthogonalized estimator, the full D_A pencil as that of the splitting
-constant, and SuperLU's LU as that of the banded Cholesky; the mesh-based
+constant, the pencil (A1, D1) as that of the diagonally scaled strip
+block, and SuperLU's LU as that of the banded Cholesky; the mesh-based
 cases run on levels 0-2 where direct solves are cheap.
 """
 
@@ -332,9 +333,11 @@ def oracle_direct_solve(M):
 
 def oracle_pencils(tsys):
     """The operators behind the estimates of spectral_pencils, by label,
-    as (A, B, B_solve) for estimate_condition.  kappa(D_A^-1 Ahat) is the
+    as (A, B, B_solve) for _lanczos_extremes.  kappa(D_A^-1 Ahat) is the
     full pencil (Ahat, diag(A0, A1)) solved by BlockExact, as the program
-    estimated it before the splitting constant: its oracle."""
+    estimated it before the splitting constant, and kappa(D1^-1 A1) the
+    pencil (A1, D1) solved by the band of D1, as the program estimated it
+    before scaling A1 by D1^-1/2: their oracles."""
     D1 = sp.diags(tsys.A1.diagonal()).tocsr()
     return {"kappa2(Ahat)": (tsys.Ahat, None, None),
             "kappa(DA^-1 Ahat)": (
@@ -346,10 +349,10 @@ def oracle_pencils(tsys):
 @pytest.fixture(scope="module")
 def exact_solve_matrices(hierarchy2):
     """Every kind of matrix the program factors exactly, per problem and
-    level: both blocks, the D1 pencil matrix and the multigrid coarse
-    operator; and the D_A pencil matrix, which the program no longer
-    builds (it estimates kappa from the splitting constant), as a
-    two-component matrix one band must still solve."""
+    level: both blocks and the multigrid coarse operator; and the B
+    matrices of the oracle pencils, which the program no longer builds:
+    D_A, a two-component matrix one band must still solve, and the
+    diagonal D1."""
     cache = {}
 
     def get(problem, level):
@@ -395,7 +398,7 @@ def test_da_pencil_solve_is_block_exact(exact_solve_matrices, problem,
         return splitting_estimate(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "splitting_estimate", recorded)
-    dict(spectral_pencils(t))
+    spectral_pencils(t)["kappa(DA^-1 Ahat)"]()
     (A01, A1, solve0, solve1), = calls
     n0 = m["A0"].shape[0]
     assert abs(A01 - t.Ahat[:n0, n0:]).max() == 0.0
@@ -406,23 +409,44 @@ def test_da_pencil_solve_is_block_exact(exact_solve_matrices, problem,
     assert np.array_equal(solve1.apply(r1), DirectSolve(m["A1"]).apply(r1))
 
 
+SPREAD_CENTRES = [(0.001, 0.002, 0.003), (0.05, 0.1, 0.15),
+                  (0.02, 0.04, 0.06)]
+
+
 # kappa from the splitting constant against the full D_A pencil, both by
 # Lanczos: the two agree to 1e-8 relative, and the splitting run on the
 # strip space takes fewer steps than the pencil on all dofs.
-@pytest.mark.parametrize("x0", [(0.001, 0.002, 0.003), (0.05, 0.1, 0.15),
-                                (0.02, 0.04, 0.06)])
+@pytest.mark.parametrize("x0", SPREAD_CENTRES)
 @pytest.mark.parametrize("level", [0, 1, 2])
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
-def test_splitting_estimate_matches_da_pencil(problem, level, x0):
-    t = build_system(ExperimentConfig(problem=problem, x0=x0), level)
+def test_splitting_estimate_matches_da_pencil(systems, problem, level, x0):
+    t = systems(problem, x0, level)
     n0 = t.A0.shape[0]
     est = splitting_estimate(t.Ahat[:n0, n0:], t.A1, DirectSolve(t.A0),
                              DirectSolve(t.A1))
-    ref = estimate_condition(*oracle_pencils(t)["kappa(DA^-1 Ahat)"])
-    assert est.converged and ref.converged
-    assert est.kappa == pytest.approx(ref.kappa, rel=1e-8, abs=0)
+    lo, hi, converged, steps = _lanczos_extremes(
+        *oracle_pencils(t)["kappa(DA^-1 Ahat)"], None, 0)
+    assert est.converged and converged
+    assert est.kappa == pytest.approx(hi / lo, rel=1e-8, abs=0)
     assert (est.lam_min, est.lam_max) == (1 - est.gamma, 1 + est.gamma)
-    assert est.iterations < ref.iterations
+    assert est.iterations < steps
+
+
+# kappa(S A1 S), S = D1^-1/2, against the pencil (A1, D1) it replaced, both
+# by Lanczos: similar operators, so the two agree to 1e-8 relative.
+@pytest.mark.parametrize("x0", SPREAD_CENTRES)
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+def test_scaled_strip_estimate_matches_d1_pencil(systems, problem, level,
+                                                 x0):
+    t = systems(problem, x0, level)
+    est = spectral_pencils(t)["kappa(D1^-1 A1)"]()
+    lo, hi, converged, _ = _lanczos_extremes(
+        *oracle_pencils(t)["kappa(D1^-1 A1)"], None, 0)
+    assert est.converged and converged
+    assert est.kappa == pytest.approx(hi / lo, rel=1e-8, abs=0)
+    assert est.lam_min == pytest.approx(lo, rel=1e-8, abs=0)
+    assert est.lam_max == pytest.approx(hi, rel=1e-8, abs=0)
 
 
 def test_splitting_estimate_rejects_gamma_at_least_one():
@@ -531,11 +555,10 @@ def test_galerkin_coarse_operator_matches_reassembly(hierarchy2,
 def test_mg_vcycle_reduces_error(hierarchy2, uncut_laplacians):
     mats, active = uncut_laplacians
     A = mats[2]
-    mg = GeometricMultigrid(A, build_prolongations(hierarchy2, active),
-                            cycles=1)
+    mg = GeometricMultigrid(A, build_prolongations(hierarchy2, active))
     rng = np.random.default_rng(13)
     exact = rng.standard_normal(A.shape[0])
-    x = mg.apply(A @ exact)
+    x = mg._vcycle(len(mg.operators) - 1, A @ exact)  # one V-cycle
     err = exact - x
     energy = lambda v: np.sqrt(v @ (A @ v))
     assert energy(err) <= 0.2 * energy(exact)
@@ -543,7 +566,7 @@ def test_mg_vcycle_reduces_error(hierarchy2, uncut_laplacians):
 
 def test_mg_without_coarse_levels_is_direct():
     A = random_spd(20, seed=14)
-    mg = GeometricMultigrid(A, [], cycles=3)
+    mg = GeometricMultigrid(A, [])
     assert len(mg.operators) == 1
     r = np.random.default_rng(15).standard_normal(20)
     assert np.allclose(mg.apply(r), DirectSolve(A).apply(r),
@@ -553,17 +576,11 @@ def test_mg_without_coarse_levels_is_direct():
 def test_mg_application_is_spd(hierarchy2, uncut_laplacians):
     mats, active = uncut_laplacians
     sub = hierarchy2.truncated(1)
-    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[:2]),
-                            cycles=3)
+    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[:2]))
     n = mats[1].shape[0]
     Z = np.column_stack([mg.apply(col) for col in np.eye(n)])
     assert np.max(np.abs(Z - Z.T)) <= 1e-10 * np.max(np.abs(Z))
     assert np.linalg.eigvalsh(0.5 * (Z + Z.T))[0] > 0.0
-
-
-def test_mg_rejects_bad_cycles():
-    with pytest.raises(ValueError, match="cycle"):
-        GeometricMultigrid(sp.eye(3, format="csr"), [], cycles=0)
 
 
 def test_block_diag_sgs_equals_exact_for_diagonal_strip():
@@ -693,11 +710,12 @@ def test_lanczos_generalized_pencil_matches_dense(case, interface_systems):
             "kappa(DA^-1 Ahat)"]
         rel, steps = 1e-7, 88
     lo, hi = dense_extremes(A, B)
-    est = estimate_condition(A, B, B_solve, seed=2)
-    assert est.converged
-    assert est.kappa == pytest.approx(hi / lo, rel=rel)
+    est_lo, est_hi, converged, est_steps = _lanczos_extremes(A, B, B_solve,
+                                                             None, 2)
+    assert converged
+    assert est_hi / est_lo == pytest.approx(hi / lo, rel=rel)
     if steps is not None:
-        assert est.iterations == steps
+        assert est_steps == steps
 
 
 def _oracle_tridiagonal_extremes(d, e):
@@ -759,15 +777,15 @@ def oracle_lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9):
 
 
 @pytest.fixture(scope="module")
-def level1_systems():
-    """Level-1 systems of both problems, built once per sphere centre."""
+def systems():
+    """Systems of both problems, built once per sphere centre and level."""
     cache = {}
 
-    def get(problem, x0):
-        if (problem, x0) not in cache:
-            cache[problem, x0] = build_system(
-                ExperimentConfig(problem=problem, x0=x0), level=1)
-        return cache[problem, x0]
+    def get(problem, x0, level=1):
+        if (problem, x0, level) not in cache:
+            cache[problem, x0, level] = build_system(
+                ExperimentConfig(problem=problem, x0=x0), level=level)
+        return cache[problem, x0, level]
 
     return get
 
@@ -781,9 +799,9 @@ def level1_systems():
 @pytest.mark.parametrize("x0", [(0.001, 0.002, 0.003), (0.01, 0.02, 0.03),
                                 (0.05, 0.1, 0.15)])
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
-def test_lanczos_matches_full_reorthogonalization(level1_systems, problem,
+def test_lanczos_matches_full_reorthogonalization(systems, problem,
                                                   x0, label):
-    A, B, B_solve = oracle_pencils(level1_systems(problem, x0))[label]
+    A, B, B_solve = oracle_pencils(systems(problem, x0))[label]
     lo, hi, converged, steps = _lanczos_extremes(A, B, B_solve, None, 0)
     ref_lo, ref_hi, ref_converged, ref_steps = \
         oracle_lanczos_extremes(A, B, B_solve, None, 0)
@@ -802,15 +820,6 @@ def test_estimate_condition_identity_and_validation():
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"budget .*{budget}"):
             estimate_condition(sp.eye(4, format="csr"), budget=budget)
-
-
-def test_estimate_condition_rejects_half_a_pencil():
-    B = sp.diags(np.linspace(1.0, 2.0, 6)).tocsr()
-    with pytest.raises(ValueError, match="B and its B-solve, got B only"):
-        estimate_condition(sp.eye(6, format="csr"), B)
-    with pytest.raises(ValueError,
-                       match="B and its B-solve, got B_solve only"):
-        estimate_condition(sp.eye(6, format="csr"), B_solve=DirectSolve(B))
 
 
 def test_lanczos_exhausted_budget_is_flagged_lower_bound():
