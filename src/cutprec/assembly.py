@@ -9,10 +9,10 @@ by the space module:
   on the zero level set.
 
 Right-hand-side callables are vectorized: f(points) with points (n, 3)
-returns (n,).  Interface Dirichlet data is g(points, side); fictitious
-domain trace data is g(points).  The loads, and the error norms of the
-experiments module, integrate over a side with one volume quadrature,
-volume_point_blocks.
+returns (n,); f=None assembles no volume load.  Interface Dirichlet data
+is g(points, side); fictitious domain trace data is g(points).  The
+loads, and the error norms of the experiments module, integrate over a
+side with one element-major volume quadrature, volume_point_blocks.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class TransformedSystem:
 
     Ahat = L^T A L and bhat = L^T b for the side-block system (A, b); A0/A1
     are the leading/trailing principal blocks of Ahat in the (x0, x1)
-    ordering.
+    ordering.  bhat is None for an operator transformed without its
+    right-hand side (b=None), as experiments.build_system builds it.
     """
 
     L: sp.csr_matrix
@@ -232,47 +233,46 @@ def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
 
 
 def volume_point_blocks(mesh: Mesh, cutinfo: CutInfo, side: int):
-    """One side's volume quadrature in blocks of QUADRATURE_BLOCK elements:
-    first the side's uncut elements under the tet rule, then its part of the
-    cut elements under their cut rules.
+    """One side's volume quadrature, element-major, in blocks of at most
+    QUADRATURE_BLOCK elements: first the side's uncut elements under the
+    tet rule, then its part of the cut elements under their cut rules,
+    grouped by rule size (14 or 42 points), in element order within a
+    group.
 
-    Yields per block the points (n, 3), their weights (n,), their
-    barycentric coordinates (n, 4), the block's elements (m,) and the owner
-    of each point, an index into those elements (n,).
+    Yields per block its elements (m,), their points (m, q, 3) and
+    weights (m, q), and the barycentric coordinates of the points: the
+    shared (q, 4) TET_RULE_LAM for uncut elements, (m, q, 4) for cut ones.
     """
     full = cutinfo.minus1 if side == 1 else cutinfo.minus2
     for start in range(0, full.size, QUADRATURE_BLOCK):
         elems = full[start:start + QUADRATURE_BLOCK]
-        pts = TET_RULE_LAM @ mesh.vertices[mesh.tets[elems]]
-        yield (pts.reshape(-1, 3),
-               (mesh.volumes[elems, None] * TET_RULE_W).ravel(),
-               np.tile(TET_RULE_LAM, (elems.size, 1)), elems,
-               np.repeat(np.arange(elems.size), TET_RULE_W.size))
+        yield (elems, TET_RULE_LAM @ mesh.vertices[mesh.tets[elems]],
+               mesh.volumes[elems, None] * TET_RULE_W, TET_RULE_LAM)
     if side == 1:
         vpts, vw, off = cutinfo.vpts1, cutinfo.vw1, cutinfo.voff1
     else:
         vpts, vw, off = cutinfo.vpts2, cutinfo.vw2, cutinfo.voff2
-    grads = mesh.gradients
-    for first in range(0, cutinfo.n_cut, QUADRATURE_BLOCK):
-        elems = cutinfo.cut_tets[first:first + QUADRATURE_BLOCK]
-        bounds = off[first:first + elems.size + 1]
-        span = slice(bounds[0], bounds[-1])
-        owner = np.repeat(np.arange(elems.size), np.diff(bounds))
-        tids = elems[owner]
-        lam = np.einsum("pix,px->pi", grads[tids],
-                        vpts[span] - mesh.vertices[mesh.tets[tids, 0]])
-        lam[:, 0] += 1.0
-        yield vpts[span], vw[span], lam, elems, owner
+    counts = np.diff(off)
+    for q in np.unique(counts):
+        group = np.flatnonzero(counts == q)
+        for start in range(0, group.size, QUADRATURE_BLOCK):
+            C = group[start:start + QUADRATURE_BLOCK]
+            elems = cutinfo.cut_tets[C]
+            idx = off[C, None] + np.arange(q)
+            pts = vpts[idx]
+            lam = (pts - mesh.vertices[mesh.tets[elems, :1]]) @ \
+                mesh.gradients[elems].transpose(0, 2, 1)
+            lam[:, :, 0] += 1.0
+            yield elems, pts, vw[idx], lam
 
 
 def _add_loads(acc, mesh, cutinfo, side, f, vdof):
     """Load vector of f over one side, summed per element before it is
     added."""
-    for pts, w, lam, elems, owner in volume_point_blocks(mesh, cutinfo, side):
-        wf = w * np.asarray(f(pts), dtype=float)
-        bloc = np.stack([np.bincount(owner, wf * lam[:, i], elems.size)
-                         for i in range(4)], axis=1)
-        acc.add_load(bloc, vdof[mesh.tets[elems]])
+    for elems, pts, w, lam in volume_point_blocks(mesh, cutinfo, side):
+        wf = w * np.asarray(f(pts.reshape(-1, 3)),
+                            dtype=float).reshape(w.shape)
+        acc.add_load((wf[:, None, :] @ lam)[:, 0], vdof[mesh.tets[elems]])
 
 
 def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
@@ -320,8 +320,9 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                liftvals[:, 1])
     A = acc.matrix()
 
-    _add_loads(acc, mesh, cutinfo, 1, f, layout.v1_dof)
-    _add_loads(acc, mesh, cutinfo, 2, f, layout.v2_dof)
+    if f is not None:
+        _add_loads(acc, mesh, cutinfo, 1, f, layout.v1_dof)
+        _add_loads(acc, mesh, cutinfo, 2, f, layout.v2_dof)
     return A, acc.b
 
 
@@ -365,7 +366,8 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                None)
     A = acc.matrix()
 
-    _add_loads(acc, mesh, cutinfo, 1, f, layout.v1_dof)
+    if f is not None:
+        _add_loads(acc, mesh, cutinfo, 1, f, layout.v1_dof)
     return A, acc.b
 
 
@@ -411,7 +413,7 @@ def transform(A: sp.csr_matrix, b: np.ndarray, L: sp.csr_matrix,
     """Congruence transform to the split basis and principal block split."""
     Ahat = (L.T @ A @ L).tocsr()
     Ahat.sort_indices()
-    bhat = L.T @ b
+    bhat = None if b is None else L.T @ b
     n0 = layout.N0
     A0 = Ahat[:n0, :n0].tocsr()
     A1 = Ahat[n0:, n0:].tocsr()

@@ -11,8 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (ExperimentConfig, build_system, run_study,
-                          spectral_pencils, write_tables)
+from .experiments import (ExperimentConfig, _located, build_system,
+                          run_study, spectral_pencils, write_tables)
 from .solver import PRECONDITIONER_KINDS
 from .space import FICTITIOUS, INTERFACE
 
@@ -72,14 +72,15 @@ def _cmd_cond(args) -> int:
     """Condition numbers of the solved operator and its block-diagonal
     preconditioned variants at one level, each with its Lanczos step
     count.  An estimate that did not converge is a lower bound and is
-    marked as one."""
+    marked as one; one that fails names its label and level."""
     config = _config_from_args(args)
     level = config.max_level if args.level is None else args.level
     tsys = build_system(config, level=level)
     n0, n1 = tsys.A0.shape[0], tsys.A1.shape[0]
     print(f"problem={config.problem} level={level} N0={n0} N1={n1}")
     for label, estimate in spectral_pencils(tsys).items():
-        est = estimate()
+        with _located(label, level, None):
+            est = estimate()
         gamma = "" if est.gamma is None else f"  gamma={est.gamma:.4e}"
         mark = "" if est.converged else "  lower bound: Lanczos not converged"
         print(f"{label:<20}= {est.kappa:.4e}  "

@@ -49,26 +49,27 @@ def _solution(x0, shift: float, scales: dict) -> ManufacturedSolution:
     x0 = np.asarray(x0, dtype=float)
 
     def parts(pts):
-        xh = np.asarray(pts, dtype=float) - x0
-        p = 3.0 * xh[:, 0] ** 2 * xh[:, 1] - xh[:, 1] ** 3
-        r2 = np.sum(xh * xh, axis=1)
-        return xh, p, r2, np.exp(1.0 - r2)
+        pts = np.asarray(pts, dtype=float)
+        x, y, z = (pts[:, i] - x0[i] for i in range(3))
+        xx, yy = x * x, y * y
+        p = 3.0 * xx * y - yy * y  # y ** 3 would call pow, 40x slower
+        r2 = xx + yy + z * z
+        return x, y, z, p, r2, np.exp(1.0 - r2)
 
     def u(pts, side=1):
-        _, p, _, E = parts(pts)
+        _, _, _, p, _, E = parts(pts)
         return p * (E - shift) / scales[side]
 
     def u_and_grad(pts, side=1):
-        xh, p, _, E = parts(pts)
-        grad_p = np.stack([6.0 * xh[:, 0] * xh[:, 1],
-                           3.0 * xh[:, 0] ** 2 - 3.0 * xh[:, 1] ** 2,
-                           np.zeros(xh.shape[0])], axis=1)
-        return (p * (E - shift) / scales[side],
-                (grad_p * (E - shift)[:, None]
-                 - 2.0 * (p * E)[:, None] * xh) / scales[side])
+        x, y, z, p, _, E = parts(pts)
+        Es, pE2 = E - shift, 2.0 * (p * E)
+        grad = np.stack([6.0 * x * y * Es - pE2 * x,
+                         (3.0 * x ** 2 - 3.0 * y ** 2) * Es - pE2 * y,
+                         -(pE2 * z)], axis=1)
+        return p * Es / scales[side], grad / scales[side]
 
     def f(pts):
-        _, p, r2, E = parts(pts)
+        _, _, _, p, r2, E = parts(pts)
         return p * E * (18.0 - 4.0 * r2)
 
     return ManufacturedSolution(u=u, u_and_grad=u_and_grad, f=f)
@@ -223,19 +224,23 @@ class StudyResult:
 def _accumulate(mesh, cutinfo, vals, sol, side, acc):
     """Add one side's squared L2 and H1-seminorm errors to acc.
 
-    The squared errors of all the side's points meet their weights in one
-    dot product, so the blocking of the quadrature changes no number.
+    The discrete solution is taken per element, its gradient constant on
+    each.  The squared errors of all the side's points meet their weights
+    in one dot product, so the blocking of the quadrature changes no
+    number.
     """
     grads = mesh.gradients
     ws, err_u, err_g = [], [], []
-    for pts, w, lam, elems, owner in volume_point_blocks(mesh, cutinfo, side):
+    for elems, pts, w, lam in volume_point_blocks(mesh, cutinfo, side):
+        m, q = w.shape
         nodal = vals[mesh.tets[elems]]
-        ue, ge = sol.u_and_grad(pts, side)
-        uh = np.einsum("pi,pi->p", lam, nodal[owner])
-        diff = ge - np.einsum("mix,mi->mx", grads[elems], nodal)[owner]
-        ws.append(w)
-        err_u.append((ue - uh) ** 2)
-        err_g.append(np.einsum("px,px->p", diff, diff))
+        ue, ge = sol.u_and_grad(pts.reshape(-1, 3), side)
+        uh = lam @ nodal[:, :, None]
+        gh = nodal[:, None, :] @ grads[elems]
+        diff = ge.reshape(m, q, 3) - gh
+        ws.append(w.ravel())
+        err_u.append((ue - uh.ravel()) ** 2)
+        err_g.append(np.einsum("mqx,mqx->mq", diff, diff).ravel())
     w = np.concatenate(ws)
     acc[0] += float(w @ np.concatenate(err_u))
     acc[1] += float(w @ np.concatenate(err_g))
@@ -279,9 +284,10 @@ def spectral_pencils(tsys: TransformedSystem) -> dict:
             "kappa(D1^-1 A1)": lambda: estimate_condition(S @ tsys.A1 @ S)}
 
 
-def _assemble(mesh, x0, config: ExperimentConfig):
+def _assemble(mesh, x0, config: ExperimentConfig, load: bool = True):
     """Cut the mesh by the unit sphere around x0 and assemble the configured
-    problem in the split basis.
+    problem in the split basis; without load, the operator alone (bhat is
+    None and no volume-load point is evaluated).
 
     Returns the cut info, the manufactured solution and the transformed
     system.  Raises if the sphere cuts no element: the split basis then
@@ -296,11 +302,14 @@ def _assemble(mesh, x0, config: ExperimentConfig):
     coeffs = config.coefficients()
     if config.problem == INTERFACE:
         sol = interface_solution(x0, config.alpha1, config.alpha2)
-        A, b = assemble_interface(mesh, cutinfo, layout, coeffs, sol.f, sol.u)
+        assemble = assemble_interface
     else:
         sol = fictitious_solution(x0)
-        A, b = assemble_fd(mesh, cutinfo, layout, coeffs, sol.f, sol.u)
-    return cutinfo, sol, transform(A, b, build_L(layout), layout)
+        assemble = assemble_fd
+    A, b = assemble(mesh, cutinfo, layout, coeffs, sol.f if load else None,
+                    sol.u)
+    return cutinfo, sol, transform(A, b if load else None, build_L(layout),
+                                   layout)
 
 
 def multigrid_active_sets(hierarchy, x0, problem) -> list:
@@ -368,10 +377,12 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
 
 def build_system(config: ExperimentConfig, level: int = None
                  ) -> TransformedSystem:
-    """Assemble and transform the configured problem at one level."""
+    """The operator of the configured problem at one level, transformed to
+    the split basis, with no right-hand side (bhat is None)."""
     if level is None:
         level = config.max_level
-    return _assemble(MeshHierarchy.build(level).finest, config.x0, config)[2]
+    return _assemble(MeshHierarchy.build(level).finest, config.x0, config,
+                     load=False)[2]
 
 
 def run_study(config: ExperimentConfig = None,

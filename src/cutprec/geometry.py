@@ -152,7 +152,7 @@ def _mapped_rule(cells):
     else:
         lam, w = TRI_RULE_LAM, TRI_RULE_W
         size = 0.5 * np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
-    pts = np.einsum("qi,kix->kqx", lam, flat)
+    pts = lam @ flat
     return pts.reshape(m, k * w.size, 3), \
         (size[:, None] * w[None, :]).reshape(m, k * w.size)
 

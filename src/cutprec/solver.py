@@ -362,10 +362,12 @@ def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9,
     precision.
 
     The run stops when both extreme Ritz values change by less than rtol
-    (relative) in one step.  Each step bisects for the smallest one (one
-    LAPACK stebz call, as scipy's eigh_tridiagonal makes it); the largest
-    one, at this step and the one before, is evaluated only once the
-    smallest has passed.  With largest_only the largest one alone is
+    (relative) in one step.  Each step bisects for the smallest one (LAPACK
+    stebz, as scipy's eigh_tridiagonal calls it), from the fourth step on
+    in a narrow bracket below the one before, by index where the bracket
+    fails; the largest one, at this step and the one before, is evaluated
+    only once the smallest has passed.  The returned extremes are bisected
+    for by index.  With largest_only the largest one alone is
     bisected for and decides the stop, for an operator whose smallest
     eigenvalue is zero or close to it, where a relative change never
     settles; lam_min is then the last smallest Ritz value, not converged.
@@ -382,22 +384,50 @@ def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9,
     alpha = np.empty(budget)
     beta = np.empty(budget)
     stebz = sla.get_lapack_funcs("stebz", (alpha,))
-    ritz = {}  # (steps, largest) -> extreme Ritz value
+    ritz = {}  # (steps, largest) -> extreme Ritz value the stop reads
+
+    def bisect(k, index=None, above=0.0, upto=1.0):
+        """Eigenvalues of T_k by bisection, one LAPACK stebz call with
+        eigh_tridiagonal's tol 0: the one of 1-based index, or else all
+        in (above, upto]."""
+        i = 1 if index is None else index
+        m, w, _, _, info = stebz(alpha[:k], beta[:k - 1],
+                                 1 if index is None else 2, above, upto, i,
+                                 i, 0.0, "E")
+        if info or (index is not None and m != 1):
+            raise np.linalg.LinAlgError(
+                f"stebz failed on T_{k} (info {info})")
+        return w[:m]
+
+    def extreme(k, largest):
+        """The smallest or largest eigenvalue of T_k, by index."""
+        return float(alpha[0]) if k == 1 else \
+            float(bisect(k, index=k if largest else 1)[0])
+
+    def bracketed(k):
+        """The smallest eigenvalue of T_k from a bracket below theta_{k-1},
+        the smallest of T_{k-1}, or None.  By interlacing, T_k has exactly
+        one eigenvalue at or below theta_{k-1}; the bracket reaches four
+        of the last steps down, and its one eigenvalue is taken if a
+        second call finds none below the bracket."""
+        if k <= 3:
+            return None
+        top, last = ritz[k - 1, False], ritz[k - 2, False]
+        lo = top - max(4.0 * (last - top), 1e-12 * abs(top))
+        floor = -2.0 * tnorm - 1.0  # below every eigenvalue of T_k
+        if not floor < lo < top:
+            return None
+        found = bisect(k, above=lo, upto=top)
+        if found.size != 1 or bisect(k, above=floor, upto=lo).size:
+            return None
+        return float(found[0])
 
     def ritz_value(k, largest):
-        """The smallest or largest eigenvalue of T_k, by bisection."""
+        """The extreme Ritz value of T_k the stop reads: the smallest from
+        a bracket where one holds it, else by index."""
         if (k, largest) not in ritz:
-            if k == 1:
-                ritz[k, largest] = float(alpha[0])
-            else:
-                # eigh_tridiagonal's arguments: by 1-based index, tol 0
-                i = k if largest else 1
-                m, w, _, _, info = stebz(alpha[:k], beta[:k - 1], 2, 0.0,
-                                         1.0, i, i, 0.0, "E")
-                if info or m != 1:
-                    raise np.linalg.LinAlgError(
-                        f"stebz failed on T_{k} (info {info})")
-                ritz[k, largest] = float(w[0])
+            value = None if largest else bracketed(k)
+            ritz[k, largest] = extreme(k, largest) if value is None else value
         return ritz[k, largest]
 
     def settled(k, largest):
@@ -455,7 +485,7 @@ def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9,
         V[k] = w / b
         if B is not None:
             BV[k] = bw / b
-    return ritz_value(k, False), ritz_value(k, True), converged or k == n, k
+    return extreme(k, False), ritz_value(k, True), converged or k == n, k
 
 
 def estimate_condition(A, *, budget: int = None,

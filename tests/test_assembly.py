@@ -13,7 +13,7 @@ from cutprec.assembly import (
     transform,
     volume_point_blocks,
 )
-from cutprec.experiments import ExperimentConfig, build_system
+from cutprec.experiments import ExperimentConfig, _assemble
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy, p1_gradients
 from cutprec.space import (
@@ -361,20 +361,29 @@ def test_damaged_cut_rules_rejected(interface1):
 ])
 def test_volume_point_blocks(fixture, side, request):
     mesh, ci, _ = request.getfixturevalue(fixture)
-    blocks = list(volume_point_blocks(mesh, ci, side))
-    pts, w, lam = (np.concatenate([b[k] for b in blocks]) for k in range(3))
-    owners = np.concatenate([elems[owner] for _, _, _, elems, owner
-                             in blocks])
-    elems = np.concatenate([b[3] for b in blocks])
-    assert all(b[3].size <= assembly.QUADRATURE_BLOCK for b in blocks)
+    # per point: weight, barycentric coordinates, the point and its image
+    # under them in its element
+    w, lam, pts, mapped, elems = [], [], [], [], []
+    for e, p, wb, lb in volume_point_blocks(mesh, ci, side):
+        m, q = wb.shape  # one rule size q per block
+        assert 0 < m <= assembly.QUADRATURE_BLOCK and q in (14, 42)
+        assert e.shape == (m,) and p.shape == (m, q, 3)
+        assert lb.shape in ((q, 4), (m, q, 4))
+        lb = np.broadcast_to(lb, (m, q, 4))
+        w.append(wb.ravel())
+        lam.append(lb.reshape(-1, 4))
+        pts.append(p.reshape(-1, 3))
+        mapped.append((lb @ mesh.vertices[mesh.tets[e]]).reshape(-1, 3))
+        elems.append(e)
+    w, lam, pts, mapped, elems = map(np.concatenate,
+                                     (w, lam, pts, mapped, elems))
 
     meas = assembly._side_measures(mesh, ci)[side - 1]
     assert w.sum() == pytest.approx(meas.sum(), rel=1e-12)
     assert np.max(np.abs(lam.sum(axis=1) - 1.0)) <= 1e-13
-    mapped = np.einsum("pi,pix->px", lam, mesh.vertices[mesh.tets[owners]])
     assert np.max(np.abs(mapped - pts)) <= 1e-13
+    assert lam.min() >= -1e-13  # each point lies in its element
     ext = ci.ext1 if side == 1 else ci.ext2
-    assert np.isin(owners, ext).all()
     assert np.array_equal(np.sort(elems), ext)  # each element once
 
 
@@ -401,9 +410,10 @@ def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,
 def test_ghost_penalty_matches_oriented_table(problem, monkeypatch):
     # unoriented normals flip the sign of jumps, never of their products
     config = ExperimentConfig(problem=problem)
-    got = build_system(config, level=2)
+    mesh = MeshHierarchy.build(2).finest
+    got = _assemble(mesh, config.x0, config)[2]
     monkeypatch.setattr(assembly, "_add_ghost", table_add_ghost)
-    want = build_system(config, level=2)
+    want = _assemble(mesh, config.x0, config)[2]
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got.Ahat, part),
                               getattr(want.Ahat, part)), part

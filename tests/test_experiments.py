@@ -5,6 +5,7 @@ bundles; the study drivers run at levels 0-2 where everything is cheap.
 """
 
 import argparse
+import dataclasses
 import json
 import re
 import weakref
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 import sympy
 
-from cutprec import experiments, solver
+from cutprec import assembly, experiments, solver
 from cutprec.cli import _add_config_options, main
 from cutprec.experiments import (ExperimentConfig, ManufacturedSolution,
                                  StudyResult, LevelResult, ErrorNorms,
@@ -438,6 +439,49 @@ def test_cli_cond_marks_lower_bounds(monkeypatch, capsys):
     for ln, n in zip(lines, steps):
         assert re.search(rf"\]  (gamma=\S+  )?steps={n}  lower bound: "
                          "Lanczos not converged$", ln), ln
+
+
+def test_cli_cond_failure_names_label_and_level(capsys):
+    # a penalty far too small leaves Ahat indefinite
+    assert main(["cond", "--level", "0", "--x0", "0.3", "0.3", "0.3",
+                 "--gamma", "1e-9"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: kappa2(Ahat) failed at level 0: operator is not positive "
+        "definite")
+
+
+@pytest.mark.parametrize("problem, study", [(INTERFACE, "interface-study"),
+                                            (FICTITIOUS, "fd-study")])
+def test_only_studies_integrate_the_load(problem, study, monkeypatch,
+                                         tmp_path):
+    """`cutprec cond` reads only Ahat, A0 and A1 and evaluates no
+    volume-load point; a level-0 study integrates the load once per
+    side."""
+    sides, points = [], []
+    add_loads, solution = assembly._add_loads, experiments._solution
+
+    def counted_loads(acc, mesh, cutinfo, side, f, vdof):
+        sides.append(side)
+        add_loads(acc, mesh, cutinfo, side, f, vdof)
+
+    def counted_solution(*args):
+        sol = solution(*args)
+
+        def f(pts):
+            points.append(len(pts))
+            return sol.f(pts)
+        return dataclasses.replace(sol, f=f)
+
+    monkeypatch.setattr(assembly, "_add_loads", counted_loads)
+    monkeypatch.setattr(experiments, "_solution", counted_solution)
+    config = tmp_path / "config.json"
+    write_config(ExperimentConfig(problem=problem), config)
+    assert main(["cond", "--level", "0", "--config", str(config)]) == 0
+    assert sides == points == []
+    assert main([study, "--max-level", "0",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert sides == ([1, 2] if problem == INTERFACE else [1])
+    assert points and all(n > 0 for n in points)
 
 
 def test_cli_config_file_with_overrides(tmp_path):

@@ -22,6 +22,7 @@ from cutprec.geometry import (
     cut_rules,
     facet_normals,
     ghost_facets,
+    _mapped_rule,
 )
 from test_mesh import reference_facets
 
@@ -74,7 +75,7 @@ def split_cut_tet(verts, phi):
 
 def _map_tet_rule(subtets):
     sub = np.array(subtets)
-    pts = np.einsum("qi,kix->kqx", TET_RULE_LAM, sub).reshape(-1, 3)
+    pts = (TET_RULE_LAM @ sub).reshape(-1, 3)
     e = sub[:, 1:] - sub[:, :1]
     vols = np.abs(np.einsum("ki,ki->k", e[:, 0],
                             np.cross(e[:, 1], e[:, 2]))) / 6.0
@@ -83,7 +84,7 @@ def _map_tet_rule(subtets):
 
 def _map_tri_rule(tris):
     tri = np.array(tris)
-    pts = np.einsum("qi,kix->kqx", TRI_RULE_LAM, tri).reshape(-1, 3)
+    pts = (TRI_RULE_LAM @ tri).reshape(-1, 3)
     areas = 0.5 * np.linalg.norm(
         np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
     return pts, (areas[:, None] * TRI_RULE_W[None, :]).reshape(-1)
@@ -270,6 +271,20 @@ def test_uncut_rule_full_volume():
 def test_cut_rule_rejects_uncut():
     with pytest.raises(ValueError):
         one_cut(REF_TET, np.array([-1.0, -1, -1, -1]))
+
+
+@pytest.mark.parametrize("lam", [TET_RULE_LAM, TRI_RULE_LAM],
+                         ids=["tet", "triangle"])
+def test_mapped_rule_matches_einsum_mapping(lam):
+    # the rules are mapped by one matmul, which sums in another order than
+    # the einsum it replaced: the points move in the last bits only
+    cells = np.random.default_rng(3).uniform(-2.0, 2.0,
+                                             (40, 3, lam.shape[1], 3))
+    pts, w = _mapped_rule(cells)
+    want = np.einsum("qi,kix->kqx", lam, cells.reshape(120, -1, 3))
+    assert pts.shape == (40, 3 * lam.shape[0], 3) and w.shape == pts.shape[:2]
+    assert np.max(np.abs(pts - want.reshape(pts.shape))) <= \
+        1e-14 * np.max(np.abs(want))
 
 
 def test_mapped_rule_matches_symbolic_integrals_per_subtet():

@@ -604,7 +604,8 @@ def test_shared_block_solvers_match_preconditioners_built_alone(hierarchy2,
                                                                 problem):
     """Preconditioners drawn from one shared set of block solvers, in
     either build order, run PCG bit for bit as each one built alone."""
-    tsys = build_system(ExperimentConfig(problem=problem), level=1)
+    config = ExperimentConfig(problem=problem)
+    tsys = experiments._assemble(hierarchy2.levels[1], config.x0, config)[2]
     sub = hierarchy2.truncated(1)
     active = multigrid_active_sets(sub, X0, problem)
 
@@ -809,6 +810,76 @@ def test_lanczos_matches_full_reorthogonalization(systems, problem,
     assert lo == pytest.approx(ref_lo, rel=1e-12, abs=0)
     assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0)
     assert hi / lo == pytest.approx(ref_hi / ref_lo, rel=1e-12, abs=0)
+
+
+def patch_stebz(monkeypatch, index_only):
+    """Record the stebz calls of _lanczos_extremes as (range, lower index,
+    order of T, eigenvalues found).  With index_only every call by value
+    (range 1) finds nothing, so each smallest Ritz value is bisected for
+    by index, as before the brackets: the oracle."""
+    real = sla.get_lapack_funcs("stebz", (np.zeros(1),))
+    calls = []
+
+    def stebz(d, e, select, vl, vu, il, iu, tol, order):
+        out = real(d, e, select, vl, vu, il, iu, tol, order)
+        if select == 1 and index_only:
+            out = (0,) + out[1:]
+        calls.append((select, il, d.size, out[0]))
+        return out
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", lambda name, arrays: stebz)
+    return calls
+
+
+def bracketed_and_oracle(monkeypatch, run):
+    """run() and its calls, then run() under the index-only oracle."""
+    with monkeypatch.context() as m:
+        calls = patch_stebz(m, index_only=False)
+        got = run()
+    with monkeypatch.context() as m:
+        patch_stebz(m, index_only=True)
+        want = run()
+    return got, want, calls
+
+
+# a bracket moves a checked Ritz value in its last bits at most, so the
+# stops, and the returned extremes, bisected for by index, stay the same
+@pytest.mark.parametrize("problem, level, label", [
+    (problem, 1, label) for problem in (INTERFACE, FICTITIOUS)
+    for label in ("kappa2(Ahat)", "kappa(DA^-1 Ahat)", "kappa(D1^-1 A1)",
+                  "gamma")] + [(INTERFACE, 2, "kappa2(Ahat)")])
+def test_ritz_brackets_match_index_only_oracle(systems, problem, level,
+                                               label, monkeypatch):
+    tsys = systems(problem, tuple(X0), level)
+    if label == "gamma":
+        def run():
+            return spectral_pencils(tsys)["kappa(DA^-1 Ahat)"]()
+    else:
+        A, B, B_solve = oracle_pencils(tsys)[label]
+
+        def run():
+            return _lanczos_extremes(A, B, B_solve, None, 0)
+    got, want, calls = bracketed_and_oracle(monkeypatch, run)
+    assert got == want
+    if label != "gamma":  # which bisects for the largest one alone
+        assert any(select == 1 and m == 1 for select, _, _, m in calls)
+
+
+def test_ritz_bracket_falls_back_to_index(monkeypatch):
+    # an isolated smallest eigenvalue: once its Ritz value has converged,
+    # T_k's smallest eigenvalue no longer lies strictly below the last one
+    n = 60
+    off = np.full(n - 1, 0.01)
+    T = sp.diags([off, np.r_[1e-3, np.linspace(1.0, 2.0, n - 1)], off],
+                 [-1, 0, 1]).tocsr()
+    got, want, calls = bracketed_and_oracle(
+        monkeypatch, lambda: _lanczos_extremes(T, None, None, None, 0))
+    assert got == want and got[2]
+    # smallest Ritz values bisected for by index after the third step,
+    # besides the returned one
+    assert sum(select == 2 and il == 1 and k > 3
+               for select, il, k, _ in calls) > 1
+    assert got[0] == pytest.approx(dense_extremes(T)[0], rel=1e-12)
 
 
 def test_estimate_condition_identity_and_validation():
