@@ -84,11 +84,16 @@ class TransformedSystem:
 
 
 class _SystemAccumulator:
-    """COO triplet buffer with symmetric elimination of prescribed dofs.
+    """COO triplet buffer of symmetric element blocks, with symmetric
+    elimination of prescribed dofs.
 
-    Local blocks carry global dof ids, -1 marking eliminated slots whose
-    prescribed values (lift) move to the right-hand side.  Triplet indices
-    are kept as int32, the index type scipy gives the matrix anyway.
+    A block is given by its upper triangle, (m, k(k+1)/2) entries in
+    np.triu_indices(k) order, over k distinct global dof ids per element;
+    -1 marks an eliminated slot, whose prescribed value (lift) moves to
+    the right-hand side.  Each entry becomes one int32 triplet (the index
+    type scipy gives the matrix anyway) with row <= col; matrix() sums
+    them and mirrors the off-diagonal sums.  Elements whose dofs are all
+    free take no mask.
     """
 
     def __init__(self, ndof: int):
@@ -100,35 +105,55 @@ class _SystemAccumulator:
         self._vals = []
         self.b = np.zeros(ndof)
 
-    def add_local(self, local, dofs, lift=None):
-        m, k = dofs.shape
-        if m == 0:
-            return
-        free = dofs >= 0
-        rows = np.broadcast_to(dofs[:, :, None], (m, k, k))
-        cols = np.broadcast_to(dofs[:, None, :], (m, k, k))
-        keep = free[:, :, None] & free[:, None, :]
-        self._rows.append(rows[keep].astype(np.int32))
-        self._cols.append(cols[keep].astype(np.int32))
-        self._vals.append(local[keep])
-        if not free.all():
+    def add_local(self, upper, dofs, lift=None):
+        iu, ju = np.triu_indices(dofs.shape[1])
+        part = np.any(dofs < 0, axis=1)
+        if part.any():
             if lift is None:
                 raise ValueError("eliminated dof without prescribed value")
-            drop = free[:, :, None] & ~free[:, None, :]
-            contrib = local * lift[:, None, :]
-            np.add.at(self.b, rows[drop], -contrib[drop])
+            self._eliminate(upper[part], dofs[part], lift[part], iu, ju)
+            upper, dofs = upper[~part], dofs[~part]
+        dofs = dofs.astype(np.int32)
+        self._add(dofs[:, iu], dofs[:, ju], upper)
+
+    def _eliminate(self, upper, dofs, lift, iu, ju):
+        """Partly eliminated elements: the entries between free dofs, and
+        b_r -= a_rc lift_c for each free r and eliminated c."""
+        ri, rj = dofs[:, iu], dofs[:, ju]
+        fi, fj = ri >= 0, rj >= 0
+        keep = fi & fj
+        self._add(ri[keep].astype(np.int32), rj[keep].astype(np.int32),
+                  upper[keep])
+        to_i, to_j = fi & ~fj, ~fi & fj
+        self.b -= np.bincount(
+            np.concatenate([ri[to_i], rj[to_j]]),
+            np.concatenate([(upper * lift[:, ju])[to_i],
+                            (upper * lift[:, iu])[to_j]]),
+            minlength=self.ndof)
+
+    def _add(self, ri, rj, vals):
+        self._rows.append(np.minimum(ri, rj).ravel())
+        self._cols.append(np.maximum(ri, rj).ravel())
+        self._vals.append(vals.ravel())
 
     def add_load(self, vals, dofs):
         free = dofs >= 0
         np.add.at(self.b, dofs[free], vals[free])
 
     def matrix(self) -> sp.csr_matrix:
-        """The summed matrix; releases the triplets, leaves b alone."""
+        """The summed matrix; releases the triplets, leaves b alone.  Its
+        pattern is that of the full blocks, explicit zeros included."""
         rows = _take_all(self._rows, np.int32)
         cols = _take_all(self._cols, np.int32)
         vals = _take_all(self._vals, float)
-        A = sp.coo_matrix((vals, (rows, cols)),
-                          shape=(self.ndof, self.ndof)).tocsr()
+        upper = sp.coo_matrix((vals, (rows, cols)),
+                              shape=(self.ndof, self.ndof)).tocsr().tocoo()
+        off = upper.row < upper.col
+        A = sp.coo_matrix(
+            (np.concatenate([upper.data, upper.data[off]]),
+             (np.concatenate([upper.row, upper.col[off]]),
+              np.concatenate([upper.col, upper.row[off]]))),
+            shape=(self.ndof, self.ndof)).tocsr()
         A.sort_indices()
         return A
 
@@ -182,11 +207,19 @@ def _add_volume(acc, mesh, grads, meas, alpha, vdof, liftvals):
     sel = np.flatnonzero(meas > 0)
     if sel.size == 0:
         return
-    local = np.einsum("tix,tjx->tij", grads[sel], grads[sel])
-    local *= (alpha * meas[sel])[:, None, None]
+    g = grads[sel]
+    upper = _upper(g @ g.transpose(0, 2, 1))
+    upper *= (alpha * meas[sel])[:, None]
     verts = mesh.tets[sel]
     lift = None if liftvals is None else liftvals[verts]
-    acc.add_local(local, vdof[verts], lift)
+    acc.add_local(upper, vdof[verts], lift)
+
+
+def _upper(local: np.ndarray) -> np.ndarray:
+    """Upper triangles of symmetric (m, k, k) blocks, np.triu_indices(k)
+    order."""
+    iu, ju = np.triu_indices(local.shape[1])
+    return local[:, iu, ju]
 
 
 def _surface_batches(mesh, cutinfo, grads):
@@ -209,27 +242,40 @@ def _surface_batches(mesh, cutinfo, grads):
         yield C, tids, w, lam, gn
 
 
-def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
-    """Ghost penalty beta h |F| [grad u . n][grad v . n] on the side's ghost
-    facets F.
+def _ghost_patches(mesh, cutinfo, grads, side):
+    """The side's ghost facets as five-vertex patches: the 4 vertices of
+    the facet's first tet t0, then the apex of its second tet t1.
 
-    The unit normal n of F is not oriented: negating n negates each jump d
-    exactly, so the products d_i d_j, and the penalty, are bitwise the same.
+    Returns (verts (m, 5), d (m, 5), areas (m,)), where d holds the jumps
+    [grad phi . n] of the patch's basis functions across the facet: g0 . n
+    - g1 . n at the 3 facet vertices, g0 . n at t0's apex and -g1 . n at
+    t1's.  The unit normal n is not oriented: negating it negates each d
+    exactly, so the products d_i d_j are bitwise the same.
     """
-    if coeffs.beta == 0.0:
-        return
     tets, triples = ghost_facets(mesh, cutinfo, side)
-    if tets.shape[0] == 0:
-        return
     n, areas = facet_normals(mesh, triples)
     t0, t1 = tets[:, 0], tets[:, 1]
-    d = np.concatenate([np.einsum("mix,mx->mi", grads[t0], n),
-                        -np.einsum("mix,mx->mi", grads[t1], n)], axis=1)
-    scale = coeffs.beta * mesh.h * areas
-    local = scale[:, None, None] * d[:, :, None] * d[:, None, :]
-    verts = np.concatenate([mesh.tets[t0], mesh.tets[t1]], axis=1)
+    v0, v1 = mesh.tets[t0], mesh.tets[t1]
+    same = v1[:, :, None] == v0[:, None, :]
+    shared = same.any(axis=2)
+    slot = np.where(shared, same.argmax(axis=2), 4)  # t1's slots in the patch
+    d = np.zeros((tets.shape[0], 5))
+    d[:, :4] = np.einsum("mix,mx->mi", grads[t0], n)
+    d[np.arange(tets.shape[0])[:, None], slot] -= np.einsum(
+        "mix,mx->mi", grads[t1], n)
+    return np.concatenate([v0, v1[~shared][:, None]], axis=1), d, areas
+
+
+def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
+    """Ghost penalty beta h |F| [grad u . n][grad v . n] on the side's ghost
+    facets F, one five-vertex patch (_ghost_patches) per facet."""
+    if coeffs.beta == 0.0:
+        return
+    verts, d, areas = _ghost_patches(mesh, cutinfo, grads, side)
+    iu, ju = np.triu_indices(5)
+    upper = (coeffs.beta * mesh.h * areas)[:, None] * d[:, iu] * d[:, ju]
     lift = None if liftvals is None else liftvals[verts]
-    acc.add_local(local, vdof[verts], lift)
+    acc.add_local(upper, vdof[verts], lift)
 
 
 def volume_point_blocks(mesh: Mesh, cutinfo: CutInfo, side: int):
@@ -312,7 +358,7 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                               axis=1)
         lift = np.concatenate([liftvals[verts, 0], liftvals[verts, 1]],
                               axis=1)
-        acc.add_local(local, dofs, lift)
+        acc.add_local(_upper(local), dofs, lift)
 
     _add_ghost(acc, mesh, cutinfo, grads, 1, coeffs, layout.v1_dof,
                liftvals[:, 0])
@@ -352,7 +398,7 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
         dofs = layout.v1_dof[verts]
         if np.any(dofs < 0):
             raise ValueError("active element with unnumbered vertex")
-        acc.add_local(local, dofs)
+        acc.add_local(_upper(local), dofs)
 
         idx = cutinfo.soff[C][:, None] + np.arange(w.shape[1])[None, :]
         gv = np.asarray(g(cutinfo.spts[idx].reshape(-1, 3)),

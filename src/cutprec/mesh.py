@@ -79,10 +79,22 @@ class Mesh:
 
 def p1_gradients(verts: np.ndarray) -> np.ndarray:
     """Constant gradients of the 4 nodal P1 basis functions on tets given as
-    vertex arrays of shape (..., 4, 3); returns shape (..., 4, 3)."""
-    J = np.swapaxes(verts[..., 1:, :] - verts[..., :1, :], -1, -2)
-    Jinv = np.linalg.inv(J)
-    return np.concatenate([-Jinv.sum(axis=-2, keepdims=True), Jinv], axis=-2)
+    vertex arrays of shape (..., 4, 3); returns shape (..., 4, 3).
+
+    With edges e_k = x_k - x_0, the gradients of lambda_1..3 are the rows
+    of the inverse edge matrix, the cofactors (e_2 x e_3, e_3 x e_1,
+    e_1 x e_2) over the determinant e_1 . (e_2 x e_3); lambda_0's is minus
+    their sum.  A tet of zero volume raises LinAlgError.
+    """
+    e = verts[..., 1:, :] - verts[..., :1, :]
+    cof = np.cross(np.roll(e, -1, axis=-2), np.roll(e, -2, axis=-2))
+    det = np.einsum("...x,...x->...", e[..., 0, :], cof[..., 0, :])
+    if np.any(det == 0):
+        raise np.linalg.LinAlgError("degenerate tetrahedron: zero determinant")
+    grads = np.empty(verts.shape)
+    grads[..., 1:, :] = cof / det[..., None, None]
+    grads[..., 0, :] = -(grads[..., 1, :] + grads[..., 2, :] + grads[..., 3, :])
+    return grads
 
 
 def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from cutprec.assembly import (
     transform,
     volume_point_blocks,
 )
-from cutprec.experiments import ExperimentConfig, _assemble
+from cutprec.experiments import ExperimentConfig
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy, p1_gradients
 from cutprec.space import (
@@ -23,6 +23,8 @@ from cutprec.space import (
     build_index_sets,
 )
 from test_geometry import reference_ghost_facets, split_cut_tet
+from test_memory import OracleAccumulator, UpperBlockOracle, \
+    assemble_recording, assert_close_systems
 from test_mesh import reference_facets
 
 X0 = (0.001, 0.002, 0.003)
@@ -390,7 +392,8 @@ def test_volume_point_blocks(fixture, side, request):
 def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,
                     liftvals):
     """The ghost penalty on the full facet table, with its oriented normals
-    and its areas."""
+    and its areas, as the full 8 x 8 blocks of both tets of each facet (the
+    3 shared vertices twice), added to the full-block oracle accumulator."""
     if coeffs.beta == 0.0:
         return
     table = reference_facets(mesh.vertices, mesh.tets)
@@ -403,21 +406,64 @@ def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,
     local = scale[:, None, None] * d[:, :, None] * d[:, None, :]
     verts = np.concatenate([mesh.tets[t0], mesh.tets[t1]], axis=1)
     lift = None if liftvals is None else liftvals[verts]
-    acc.add_local(local, vdof[verts], lift)
+    OracleAccumulator.add_local(acc, local, vdof[verts], lift)
 
 
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_ghost_penalty_matches_oriented_table(problem, monkeypatch):
-    # unoriented normals flip the sign of jumps, never of their products
+    # unoriented normals flip the sign of jumps, never of their products;
+    # the five-vertex patches sum each shared vertex's two jumps before
+    # they are multiplied.  Level 2: A and Ahat within 1.5e-15 (interface)
+    # and 1.2e-15 (fictitious domain), b and bhat within 2.3e-16 and 0
     config = ExperimentConfig(problem=problem)
     mesh = MeshHierarchy.build(2).finest
-    got = _assemble(mesh, config.x0, config)[2]
+    got = assemble_recording(mesh, config)
+    monkeypatch.setattr(assembly, "_SystemAccumulator", UpperBlockOracle)
     monkeypatch.setattr(assembly, "_add_ghost", table_add_ghost)
-    want = _assemble(mesh, config.x0, config)[2]
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got.Ahat, part),
-                              getattr(want.Ahat, part)), part
-    assert np.array_equal(got.bhat, want.bhat)
+    assert_close_systems(got, assemble_recording(mesh, config))
+
+
+@pytest.fixture(scope="module")
+def paper_systems():
+    """(A, b, tsys) at the paper centre, levels 0-2 of both problems."""
+    levels = MeshHierarchy.build(2).levels
+    return {(problem, level): assemble_recording(
+                mesh, ExperimentConfig(problem=problem))
+            for problem in (INTERFACE, FICTITIOUS)
+            for level, mesh in enumerate(levels)}
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_assembled_matrix_exactly_symmetric(paper_systems, problem, level):
+    # full blocks summed A[i, j] and A[j, i] in different orders: 15,386
+    # entries of the level-2 interface A differed from their mirror
+    A = paper_systems[problem, level][0]
+    assert (A != A.T).nnz == 0
+
+
+@pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
+@pytest.mark.parametrize("level", [1, 2])
+def test_ahat_stores_no_rounding_residue(paper_systems, problem, level):
+    # the 8 x 8 ghost blocks left 14,460 entries below 1e-12 max|Ahat| in
+    # the level-2 interface Ahat, where the exact sum is zero
+    data = np.abs(paper_systems[problem, level][2].Ahat.data)
+    assert data.min() >= 1e-12 * data.max()
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_ghost_patches_annihilate_linear_functions(side):
+    mesh, ci, _ = make_problem(2, center=ExperimentConfig().x0)
+    verts, d, areas = assembly._ghost_patches(mesh, ci, mesh.gradients, side)
+    assert verts.shape[0] > 0 and np.all(areas > 0)
+    # five distinct vertices: the facet's 3 and one apex of each tet
+    assert np.all(np.diff(np.sort(verts, axis=1), axis=1) > 0)
+    rng = np.random.default_rng(5)
+    for slope, offset in ((np.zeros(3), 1.0),
+                          (rng.standard_normal(3), rng.standard_normal())):
+        du = d * (mesh.vertices @ slope + offset)[verts]
+        assert np.all(np.abs(du.sum(axis=1))
+                      <= 1e-12 * np.abs(du).sum(axis=1))
 
 
 def test_dirichlet_values_layout():

@@ -59,6 +59,49 @@ def test_gradients_cached_read_only_and_exact():
                        rtol=0, atol=1e-12)
 
 
+def inverse_gradients(verts):
+    """The P1 gradients as rows of the batched inverse edge matrix, the
+    formula p1_gradients replaced."""
+    J = np.swapaxes(verts[..., 1:, :] - verts[..., :1, :], -1, -2)
+    Jinv = np.linalg.inv(J)
+    return np.concatenate([-Jinv.sum(axis=-2, keepdims=True), Jinv], axis=-2)
+
+
+def random_tets(n, seed=11):
+    """Perturbed unit tets, every second one with two vertices swapped, so
+    that both orientations occur."""
+    rng = np.random.default_rng(seed)
+    ref = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    verts = ref + 0.25 * rng.standard_normal((n, 4, 3))
+    verts[1::2, [1, 2]] = verts[1::2, [2, 1]]
+    return verts
+
+
+@pytest.mark.parametrize("source", ["random", "level2"])
+def test_p1_gradients_match_inverse_oracle(source):
+    if source == "random":
+        verts = random_tets(2000)
+    else:
+        mesh = MeshHierarchy.build(2).finest
+        verts = mesh.vertices[mesh.tets]
+    e = verts[:, 1:] - verts[:, :1]
+    signed = np.einsum("ti,ti->t", e[:, 0], np.cross(e[:, 1], e[:, 2]))
+    assert np.any(signed > 0) and np.any(signed < 0)
+    got, want = p1_gradients(verts), inverse_gradients(verts)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.all(np.abs(got.sum(axis=1)).max(axis=1) <= 1e-13 * scale)
+
+
+def test_p1_gradients_reject_zero_determinant():
+    verts = random_tets(3)
+    verts[1, :, 2] = 0.0  # a flat tet in the plane z = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        inverse_gradients(verts)
+    with pytest.raises(np.linalg.LinAlgError, match="zero determinant"):
+        p1_gradients(verts)
+
+
 def test_refinement_reproduces_finer_cube_subdivision():
     # red refinement of the 6-tets-per-cube mesh is exactly the
     # 6-tets-per-cube mesh of the halved grid, at every level
