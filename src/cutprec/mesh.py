@@ -87,12 +87,14 @@ def p1_gradients(verts: np.ndarray) -> np.ndarray:
     their sum.  A tet of zero volume raises LinAlgError.
     """
     e = verts[..., 1:, :] - verts[..., :1, :]
-    cof = np.cross(np.roll(e, -1, axis=-2), np.roll(e, -2, axis=-2))
-    det = np.einsum("...x,...x->...", e[..., 0, :], cof[..., 0, :])
+    grads = np.empty(verts.shape)
+    for k in range(3):
+        grads[..., k + 1, :] = np.cross(e[..., (k + 1) % 3, :],
+                                        e[..., (k + 2) % 3, :])
+    det = np.einsum("...x,...x->...", e[..., 0, :], grads[..., 1, :])
     if np.any(det == 0):
         raise np.linalg.LinAlgError("degenerate tetrahedron: zero determinant")
-    grads = np.empty(verts.shape)
-    grads[..., 1:, :] = cof / det[..., None, None]
+    grads[..., 1:, :] /= det[..., None, None]
     grads[..., 0, :] = -(grads[..., 1, :] + grads[..., 2, :] + grads[..., 3, :])
     return grads
 
