@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, _unique_rows, p1_gradients
+from .mesh import Mesh, p1_gradients
 
 NEG, CUT, POS = -1, 0, 1
 
@@ -295,6 +295,29 @@ def build_cut_info(mesh: Mesh, phi) -> CutInfo:
 
     return CutInfo(tet_class=tet_class, vertex_phi=vertex_phi, cut_tets=cut_tets,
                    kappa1=rules.vol1 / tot, **vars(rules))
+
+
+def _unique_rows(rows: np.ndarray, n_vertices: int):
+    """Distinct rows of sorted vertex triples, through one exact int64 key
+    per row.
+
+    Returns (uniq, inverse, order): uniq and inverse are those of
+    np.unique(rows, axis=0, return_inverse=True), and order is the stable
+    sort of the rows, np.argsort(inverse, kind="stable").
+    """
+    if n_vertices ** 3 - 1 > np.iinfo(np.int64).max:  # the largest key
+        raise ValueError(f"{n_vertices} vertices overflow the int64 keys of "
+                         "vertex triples")
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        keys = keys * n_vertices + col
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse, order
 
 
 def ghost_facets(mesh: Mesh, cutinfo: CutInfo,

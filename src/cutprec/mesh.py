@@ -1,13 +1,13 @@
 """Structured tetrahedral meshes of a box and their uniform refinement hierarchy.
 
-The initial mesh subdivides each cell of an n x n x n cube grid into 6
-tetrahedra (Kuhn subdivision along the (0,0,0)->(1,1,1) cell diagonal).
-Uniform refinement splits every tetrahedron into 8 children (red refinement:
-4 corner tetrahedra plus an octahedron cut along its shortest diagonal).
-Vertex coordinates are derived from integer lattice indices so that
-coordinates of coarse vertices reappear bitwise identically on finer levels.
-A mesh stores no facets: refinement keys the edges, and the ghost penalty
-keys only the faces near the cut strip (geometry.ghost_facets).
+Every mesh subdivides each cell of an n x n x n cube grid into 6 tetrahedra
+(Kuhn subdivision along the (0,0,0)->(1,1,1) cell diagonal).  Level k + 1 of
+the hierarchy is the Kuhn mesh of the halved lattice of level k, which is
+also what red refinement of level k gives; it is built directly, numbered as
+red refinement numbers it.  Vertex coordinates are derived from integer
+lattice indices so that coordinates of coarse vertices reappear bitwise
+identically on finer levels.  A mesh stores no edges or facets: the ghost
+penalty keys only the faces near the cut strip (geometry.ghost_facets).
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ import numpy as np
 # Axis insertion orders generating the 6 Kuhn tetrahedra of a cube.
 _KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
-# Local vertex pairs of the 6 edges of a tetrahedron, in a fixed order.
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-# The three interior diagonals of the midpoint octahedron, as edge-slot pairs
-# into _TET_EDGES, and the equatorial 4-cycle of the remaining midpoints.
-_OCT_DIAGONALS = ((0, 5), (1, 4), (2, 3))
-_OCT_EQUATORS = ((1, 2, 4, 3), (0, 2, 5, 3), (0, 1, 5, 4))
+# The 7 nonzero 0/1 steps d: every edge of a Kuhn mesh is (c, c + d).
+_EDGE_STEPS = tuple(np.ndindex(2, 2, 2))[1:]
 
 
 @dataclass(frozen=True)
@@ -34,10 +29,10 @@ class Mesh:
     """Immutable conforming tetrahedral mesh.
 
     Vertices carry integer lattice indices (lattice, lattice_n): the physical
-    coordinate is box_lo + extent * lattice / lattice_n.  Tet vertex orderings
-    are canonical (sorted by lattice order); red refinement relies on this to
-    reproduce the halved-lattice cube subdivision exactly.  volumes are the
-    absolute values of the signed tet volumes.  All arrays are read-only
+    coordinate is box_lo + extent * lattice / lattice_n.  Each tet's vertices
+    are in cube-path order, which is also ascending (coordinate sum, i, j, k)
+    lattice order.  volumes are the absolute values of the signed tet
+    volumes.  All arrays are read-only
     after construction.
     """
 
@@ -105,51 +100,14 @@ def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.einsum("ti,ti->t", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
 
 
-def _unique_rows(rows: np.ndarray, n_vertices: int):
-    """Distinct rows of sorted vertex ids, through one exact int64 key per row
-    (vertex pairs: the edges of refine_uniform; triples: the faces of
-    geometry.ghost_facets).
-
-    Returns (uniq, inverse, order): uniq and inverse are those of
-    np.unique(rows, axis=0, return_inverse=True), and order is the stable
-    sort of the rows, np.argsort(inverse, kind="stable").
-    """
-    width = rows.shape[1]
-    if n_vertices ** width - 1 > np.iinfo(np.int64).max:  # the largest key
-        raise ValueError(f"{n_vertices} vertices overflow the int64 keys of "
-                         f"vertex {'pairs' if width == 2 else 'triples'}")
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    for col in rows.T:
-        keys = keys * n_vertices + col
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    inverse = np.empty(keys.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[order[first]], inverse, order
-
-
 def _coords_from_lattice(lattice: np.ndarray, n: int, box: np.ndarray) -> np.ndarray:
     lo, hi = box[0], box[1]
     return lo + (hi - lo) * lattice / float(n)
 
 
-def _canonical_tet_order(lattice: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Order each tet's vertices by (coordinate sum, i, j, k) of their lattice
-    indices.  On cube-path (Kuhn) tets this is the canonical path order, which
-    the octahedron tie-break needs to reproduce the halved-lattice subdivision
-    at every refinement level."""
-    lat = lattice[tets]
-    order = np.lexsort((lat[:, :, 2], lat[:, :, 1], lat[:, :, 0],
-                        lat.sum(axis=2)), axis=1)
-    return np.take_along_axis(tets, order, axis=1)
-
-
 def _make_mesh(lattice: np.ndarray, n: int, box: np.ndarray,
                tets: np.ndarray, level: int) -> Mesh:
     vertices = _coords_from_lattice(lattice, n, box)
-    tets = _canonical_tet_order(lattice, tets)
     on_bnd = np.any((lattice == 0) | (lattice == n), axis=1)
     signed = _signed_volumes(vertices, tets)
     if np.any(signed == 0):
@@ -157,6 +115,22 @@ def _make_mesh(lattice: np.ndarray, n: int, box: np.ndarray,
     return Mesh(vertices=vertices, tets=tets, level=level,
                 boundary_vertex_flags=on_bnd, lattice=lattice, lattice_n=n,
                 box=box, volumes=np.abs(signed))
+
+
+def _kuhn_tets(ids: np.ndarray) -> np.ndarray:
+    """The 6 Kuhn tets of each cube of the grid whose corner vertex ids are
+    ids, shape (n + 1, n + 1, n + 1): cubes in lexicographic order, each
+    tet's vertices along its path from the cube's low to its high corner."""
+    n = ids.shape[0] - 1
+    tets = np.empty((6 * n ** 3, 4), dtype=np.int64)
+    for p, perm in enumerate(_KUHN_PERMS):
+        corner = [0, 0, 0]
+        path = [ids[:n, :n, :n]]
+        for axis in perm:
+            corner[axis] = 1
+            path.append(ids[tuple(slice(s, s + n) for s in corner)])
+        tets[p::6] = np.stack(path, axis=-1).reshape(-1, 4)
+    return tets
 
 
 def build_initial_mesh(n_per_axis: int, box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))) -> Mesh:
@@ -167,88 +141,18 @@ def build_initial_mesh(n_per_axis: int, box=((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5)
     if np.any(box[1] <= box[0]):
         raise ValueError("box must have positive extent in every axis")
     n = int(n_per_axis)
-    m = n + 1
-    ii, jj, kk = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                             indexing="ij")
-    lattice = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.int64)
-
-    def vid(i, j, k):
-        return (i * m + j) * m + k
-
-    cubes = np.stack(np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
-                                 indexing="ij"), axis=-1).reshape(-1, 3)
-    tets = np.empty((6 * cubes.shape[0], 4), dtype=np.int64)
-    for p_idx, perm in enumerate(_KUHN_PERMS):
-        c = cubes.copy()
-        v = [vid(c[:, 0], c[:, 1], c[:, 2])]
-        for axis in perm:
-            c = c.copy()
-            c[:, axis] += 1
-            v.append(vid(c[:, 0], c[:, 1], c[:, 2]))
-        tets[p_idx::6] = np.stack([v[0], v[1], v[2], v[3]], axis=1)
-    return _make_mesh(lattice, n, box, tets, level=0)
-
-
-def refine_uniform(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
-    """Split every tet into 8 children, numbered 8 t .. 8 t + 7 for tet t.
-
-    Returns the fine mesh and the midpoint parents: fine vertex
-    n_vertices + i is the midpoint of coarse vertices midpoint_parents[i]
-    (a sorted pair); coarse vertex v keeps its id v.
-    """
-    tets = mesh.tets
-    nv = mesh.n_vertices
-    pairs = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1)
-    edges, edge_of, _ = _unique_rows(pairs, nv)
-    edge_of = edge_of.reshape(-1, 6)
-    mid = nv + np.arange(edges.shape[0])
-
-    fine_lattice = np.vstack([2 * mesh.lattice,
-                              mesh.lattice[edges[:, 0]] + mesh.lattice[edges[:, 1]]])
-    fine_n = 2 * mesh.lattice_n
-
-    # m[t, e] = fine vertex id of the midpoint of edge slot e of tet t
-    m = mid[edge_of]
-    v = tets
-    corner = np.stack([
-        np.stack([v[:, 0], m[:, 0], m[:, 1], m[:, 2]], axis=1),
-        np.stack([m[:, 0], v[:, 1], m[:, 3], m[:, 4]], axis=1),
-        np.stack([m[:, 1], m[:, 3], v[:, 2], m[:, 5]], axis=1),
-        np.stack([m[:, 2], m[:, 4], m[:, 5], v[:, 3]], axis=1),
-    ], axis=1)
-
-    # shortest interior diagonal of the midpoint octahedron; ties resolved by
-    # the fixed candidate order, which selects the self-similar split on Kuhn tets
-    ext_over_n = (mesh.box[1] - mesh.box[0]) / float(fine_n)
-    mid_lat = fine_lattice[m]
-    d2 = np.stack([
-        np.sum(((mid_lat[:, a] - mid_lat[:, b]) * ext_over_n) ** 2, axis=1)
-        for a, b in _OCT_DIAGONALS
-    ], axis=1)
-    choice = np.argmin(d2, axis=1)
-
-    octa = np.empty((tets.shape[0], 4, 4), dtype=np.int64)
-    for c, ((da, db), eq) in enumerate(zip(_OCT_DIAGONALS, _OCT_EQUATORS)):
-        rows = choice == c
-        if not np.any(rows):
-            continue
-        p, q = m[rows, da], m[rows, db]
-        for k in range(4):
-            ca, cb = m[rows, eq[k]], m[rows, eq[(k + 1) % 4]]
-            octa[rows, k] = np.stack([p, ca, cb, q], axis=1)
-
-    children = np.concatenate([corner, octa], axis=1)
-    fine = _make_mesh(fine_lattice, fine_n, mesh.box, children.reshape(-1, 4),
-                      level=mesh.level + 1)
-    edges.setflags(write=False)
-    return fine, edges
+    ids = np.arange((n + 1) ** 3, dtype=np.int64).reshape((n + 1,) * 3)
+    lattice = np.stack(np.unravel_index(ids.ravel(), ids.shape), axis=1)
+    return _make_mesh(lattice, n, box, _kuhn_tets(ids), level=0)
 
 
 class MeshHierarchy:
-    """Nested meshes produced by successive uniform refinement.
+    """Nested Kuhn meshes of the 4 * 2^k cube grids of [-1.5, 1.5]^3.
 
-    levels[k] is the mesh at refinement level k; midpoint_parents[k] are
-    the midpoint parents of levels[k + 1] (see refine_uniform).
+    levels[k] is the mesh at refinement level k.  Level k + 1 keeps the
+    vertices of level k under their ids; its vertex nv_k + i is the midpoint
+    of the coarse edge midpoint_parents[k][i], a sorted pair, the edges in
+    ascending pair order.
     """
 
     def __init__(self, levels: list, midpoint_parents: list):
@@ -257,14 +161,38 @@ class MeshHierarchy:
 
     @classmethod
     def build(cls, max_level: int) -> "MeshHierarchy":
-        """Refine the 4^3 Kuhn grid of [-1.5, 1.5]^3 max_level times."""
+        """Build levels 0 .. max_level, each from the lattice of the last."""
         if max_level < 0:
             raise ValueError(f"level must be nonnegative, got {max_level}")
         levels, parents = [build_initial_mesh(4)], []
         for _ in range(max_level):
-            fine, mids = refine_uniform(levels[-1])
-            levels.append(fine)
-            parents.append(mids)
+            coarse = levels[-1]
+            n, nv = coarse.lattice_n, coarse.n_vertices
+            ids = np.empty((n + 1,) * 3, dtype=np.int64)
+            ids[tuple(coarse.lattice.T)] = np.arange(nv)
+            # fine lattice point 2c + d is coarse vertex c for d = 0, and the
+            # midpoint of the edge (c, c + d) for each of the 7 edge steps
+            fine_ids = np.empty((2 * n + 1,) * 3, dtype=np.int64)
+            fine_ids[::2, ::2, ::2] = ids
+            slot = np.arange(fine_ids.size).reshape(fine_ids.shape)
+            heads, tails, slots = [], [], []
+            for d in _EDGE_STEPS:
+                heads.append(ids[tuple(slice(0, n + 1 - s) for s in d)].ravel())
+                tails.append(ids[tuple(slice(s, None) for s in d)].ravel())
+                slots.append(slot[tuple(slice(s, None, 2) for s in d)].ravel())
+            pairs = np.sort(np.stack([np.concatenate(heads),
+                                      np.concatenate(tails)], axis=1), axis=1)
+            # midpoint ids follow the sorted parent pairs in ascending order
+            order = np.argsort(pairs[:, 0] * nv + pairs[:, 1])
+            edges = pairs[order]
+            fine_ids.flat[np.concatenate(slots)[order]] = \
+                nv + np.arange(order.size)
+            lattice = np.vstack([2 * coarse.lattice,
+                                 coarse.lattice[edges].sum(axis=1)])
+            levels.append(_make_mesh(lattice, 2 * n, coarse.box,
+                                     _kuhn_tets(fine_ids), coarse.level + 1))
+            edges.setflags(write=False)
+            parents.append(edges)
         return cls(levels, parents)
 
     @property

@@ -3,16 +3,127 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-import cutprec.mesh as mesh_module
+import cutprec.geometry as geometry_module
+from cutprec.experiments import ExperimentConfig
+from cutprec.geometry import SphereLevelSet, _unique_rows, build_cut_info, \
+    ghost_facets
 from cutprec.mesh import (
+    Mesh,
     MeshHierarchy,
-    _unique_rows,
+    _make_mesh,
     build_initial_mesh,
     p1_gradients,
-    refine_uniform,
 )
 
 BOX = ((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
+
+# Local vertex pairs of the 6 edges of a tetrahedron, in a fixed order.
+_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# The three interior diagonals of the midpoint octahedron, as edge-slot pairs
+# into _TET_EDGES, and the equatorial 4-cycle of the remaining midpoints.
+_OCT_DIAGONALS = ((0, 5), (1, 4), (2, 3))
+_OCT_EQUATORS = ((1, 2, 4, 3), (0, 2, 5, 3), (0, 1, 5, 4))
+
+
+def _canonical_tet_order(lattice, tets):
+    """Order each tet's vertices by (coordinate sum, i, j, k) of their lattice
+    indices.  On cube-path (Kuhn) tets this is the canonical path order, which
+    the octahedron tie-break needs to reproduce the halved-lattice subdivision
+    at every refinement level."""
+    lat = lattice[tets]
+    order = np.lexsort((lat[:, :, 2], lat[:, :, 1], lat[:, :, 0],
+                        lat.sum(axis=2)), axis=1)
+    return np.take_along_axis(tets, order, axis=1)
+
+
+def reference_refine(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
+    """Red refinement, the oracle of MeshHierarchy.build: every tet split
+    into 8 children, numbered 8 t .. 8 t + 7 for tet t (4 corner tets and an
+    octahedron cut along its shortest diagonal).
+
+    Returns the fine mesh and the midpoint parents: fine vertex
+    n_vertices + i is the midpoint of coarse vertices midpoint_parents[i]
+    (a sorted pair, the edges keyed by np.unique); coarse vertex v keeps
+    its id v.
+    """
+    tets = mesh.tets
+    nv = mesh.n_vertices
+    pairs = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1)
+    edges, edge_of, _ = reference_unique_rows(pairs, nv)
+    edge_of = edge_of.reshape(-1, 6)
+    mid = nv + np.arange(edges.shape[0])
+
+    fine_lattice = np.vstack([2 * mesh.lattice,
+                              mesh.lattice[edges[:, 0]] + mesh.lattice[edges[:, 1]]])
+    fine_n = 2 * mesh.lattice_n
+
+    # m[t, e] = fine vertex id of the midpoint of edge slot e of tet t
+    m = mid[edge_of]
+    v = tets
+    corner = np.stack([
+        np.stack([v[:, 0], m[:, 0], m[:, 1], m[:, 2]], axis=1),
+        np.stack([m[:, 0], v[:, 1], m[:, 3], m[:, 4]], axis=1),
+        np.stack([m[:, 1], m[:, 3], v[:, 2], m[:, 5]], axis=1),
+        np.stack([m[:, 2], m[:, 4], m[:, 5], v[:, 3]], axis=1),
+    ], axis=1)
+
+    # shortest interior diagonal of the midpoint octahedron; ties resolved by
+    # the fixed candidate order, which selects the self-similar split on Kuhn tets
+    ext_over_n = (mesh.box[1] - mesh.box[0]) / float(fine_n)
+    mid_lat = fine_lattice[m]
+    d2 = np.stack([
+        np.sum(((mid_lat[:, a] - mid_lat[:, b]) * ext_over_n) ** 2, axis=1)
+        for a, b in _OCT_DIAGONALS
+    ], axis=1)
+    choice = np.argmin(d2, axis=1)
+
+    octa = np.empty((tets.shape[0], 4, 4), dtype=np.int64)
+    for c, ((da, db), eq) in enumerate(zip(_OCT_DIAGONALS, _OCT_EQUATORS)):
+        rows = choice == c
+        if not np.any(rows):
+            continue
+        p, q = m[rows, da], m[rows, db]
+        for k in range(4):
+            ca, cb = m[rows, eq[k]], m[rows, eq[(k + 1) % 4]]
+            octa[rows, k] = np.stack([p, ca, cb, q], axis=1)
+
+    children = np.concatenate([corner, octa], axis=1).reshape(-1, 4)
+    fine = _make_mesh(fine_lattice, fine_n, mesh.box,
+                      _canonical_tet_order(fine_lattice, children),
+                      level=mesh.level + 1)
+    return fine, edges
+
+
+def sorted_rows(tets):
+    """The rows of a tet table in lexicographic order, and that order."""
+    order = np.lexsort(tets.T[::-1])
+    return tets[order], order
+
+
+def test_hierarchy_matches_red_refinement():
+    # the direct lattice build numbers vertices as red refinement does and
+    # gives each tet the same vertex order; only the tet order differs
+    hier = MeshHierarchy.build(3)
+    want = build_initial_mesh(4)
+    for k, mesh in enumerate(hier.levels):
+        if k > 0:
+            want, parents = reference_refine(want)
+            got = hier.midpoint_parents[k - 1]
+            assert got.dtype == parents.dtype and not got.flags.writeable
+            assert np.array_equal(got, parents), k
+        assert (mesh.level, mesh.lattice_n) == (want.level, want.lattice_n)
+        for name in ("vertices", "lattice", "boundary_vertex_flags", "tets",
+                     "volumes"):
+            assert getattr(mesh, name).dtype == getattr(want, name).dtype
+        for name in ("vertices", "lattice", "boundary_vertex_flags"):
+            assert np.array_equal(getattr(mesh, name),
+                                  getattr(want, name)), (k, name)
+        got_tets, got_order = sorted_rows(mesh.tets)
+        want_tets, want_order = sorted_rows(want.tets)
+        assert np.array_equal(got_tets, want_tets), k
+        assert np.array_equal(mesh.volumes[got_order],
+                              want.volumes[want_order]), k
 
 
 def test_initial_mesh_counts():
@@ -103,21 +214,17 @@ def test_p1_gradients_reject_zero_determinant():
 
 
 def test_refinement_reproduces_finer_cube_subdivision():
-    # red refinement of the 6-tets-per-cube mesh is exactly the
-    # 6-tets-per-cube mesh of the halved grid, at every level
+    # level k of the hierarchy is the 6-tets-per-cube mesh of the
+    # 4 * 2^k grid, under its own vertex numbering
     def tet_keys(mesh):
-        keys = set()
-        scale = mesh.lattice_n
-        for tet in mesh.tets:
-            keys.add(tuple(sorted(
-                tuple(idx / scale for idx in mesh.lattice[v]) for v in tet)))
-        return keys
+        m = mesh.lattice_n + 1
+        lat = mesh.lattice[mesh.tets]
+        points = (lat[..., 0] * m + lat[..., 1]) * m + lat[..., 2]
+        return sorted_rows(points)[0]
 
-    mesh = build_initial_mesh(1, ((0, 0, 0), (1, 1, 1)))
-    for n in (2, 4):
-        mesh, _ = refine_uniform(mesh)
-        direct = build_initial_mesh(n, ((0, 0, 0), (1, 1, 1)))
-        assert tet_keys(mesh) == tet_keys(direct)
+    for mesh in MeshHierarchy.build(2).levels:
+        direct = build_initial_mesh(mesh.lattice_n, BOX)
+        assert np.array_equal(tet_keys(mesh), tet_keys(direct))
 
 
 def test_degenerate_box_rejected():
@@ -135,14 +242,10 @@ def test_boundary_vertex_flags():
 
 
 def test_refine_counts_and_volume():
-    mesh = build_initial_mesh(4, BOX)
-    fine, _ = refine_uniform(mesh)
+    fine = MeshHierarchy.build(1).finest
     assert fine.n_tets == 8 * 384 == 3072
     assert fine.volumes.sum() == pytest.approx(27.0, abs=1e-10)
     assert np.all(fine.volumes > 0)
-    # children partition each parent: tet t has children 8 t .. 8 t + 7
-    child_vol = fine.volumes.reshape(-1, 8).sum(axis=1)
-    assert np.allclose(child_vol, mesh.volumes, rtol=0, atol=1e-12)
 
 
 def test_hierarchy_tet_count_and_h():
@@ -169,14 +272,12 @@ def test_hierarchy_nesting_exact():
 
 
 def test_mesh_deterministic():
-    a = build_initial_mesh(3, BOX)
-    b = build_initial_mesh(3, BOX)
-    assert np.array_equal(a.vertices, b.vertices)
-    assert np.array_equal(a.tets, b.tets)
-    fa, _ = refine_uniform(a)
-    fb, _ = refine_uniform(b)
-    assert np.array_equal(fa.vertices, fb.vertices)
-    assert np.array_equal(fa.tets, fb.tets)
+    a, b = MeshHierarchy.build(2), MeshHierarchy.build(2)
+    for ma, mb in zip(a.levels, b.levels):
+        assert np.array_equal(ma.vertices, mb.vertices)
+        assert np.array_equal(ma.tets, mb.tets)
+    for pa, pb in zip(a.midpoint_parents, b.midpoint_parents):
+        assert np.array_equal(pa, pb)
 
 
 def test_facets_single_tet():
@@ -216,15 +317,12 @@ def test_facet_count_against_bruteforce():
 
 
 def test_conformity_all_levels():
-    meshes = [build_initial_mesh(2, BOX)]
-    for _ in range(2):
-        meshes.append(refine_uniform(meshes[-1])[0])
-    for mesh in meshes:
+    for mesh in MeshHierarchy.build(2).levels:
         _, counts = np.unique(tet_faces(mesh.tets), axis=0,
                               return_counts=True)
         assert set(np.unique(counts)) <= {1, 2}
-        # two triangles per boundary square of the (2 * 2^level)^3 grid
-        n_side = 2 * 2 ** mesh.level
+        # two triangles per boundary square of the (4 * 2^level)^3 grid
+        n_side = 4 * 2 ** mesh.level
         assert np.count_nonzero(counts == 1) == 6 * 2 * n_side ** 2
 
 
@@ -282,25 +380,22 @@ def reference_facets(vertices, tets):
     return ReferenceFacets(uniq, adj, normals, 0.5 * nrm)
 
 
-def _arrays(hier):
-    out = {}
-    for k, mesh in enumerate(hier.levels):
-        for name in ("vertices", "tets", "lattice", "volumes",
-                     "boundary_vertex_flags"):
-            out[k, name] = getattr(mesh, name)
-    for k, parents in enumerate(hier.midpoint_parents):
-        out[k, "midpoint_parents"] = parents
-    return out
+@pytest.fixture(scope="module")
+def level3_cut():
+    mesh = MeshHierarchy.build(3).finest
+    return mesh, build_cut_info(mesh, SphereLevelSet(center=ExperimentConfig().x0))
 
 
-def test_integer_keys_match_unique_axis0(monkeypatch):
-    got = _arrays(MeshHierarchy.build(3))
-    monkeypatch.setattr(mesh_module, "_unique_rows", reference_unique_rows)
-    want = _arrays(MeshHierarchy.build(3))
-    assert got.keys() == want.keys()
-    for key, arr in want.items():
-        assert got[key].dtype == arr.dtype, key
-        assert np.array_equal(got[key], arr), key
+def test_integer_keys_match_unique_axis0(level3_cut, monkeypatch):
+    mesh, cutinfo = level3_cut
+    got = [ghost_facets(mesh, cutinfo, side) for side in (1, 2)]
+    monkeypatch.setattr(geometry_module, "_unique_rows", reference_unique_rows)
+    want = [ghost_facets(mesh, cutinfo, side) for side in (1, 2)]
+    for side_got, side_want in zip(got, want):
+        assert side_got[0].size > 0
+        for g, w in zip(side_got, side_want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 def test_integer_keys_reject_overflow():
@@ -316,6 +411,3 @@ def test_integer_keys_reject_overflow():
     assert np.array_equal(uniq, top) and inverse[0] == 0 == order[0]
     with pytest.raises(ValueError, match=f"{2 ** 21 + 1} vertices overflow"):
         _unique_rows(top, 2 ** 21 + 1)
-    with pytest.raises(ValueError, match="overflow the int64 keys of vertex "
-                       "pairs"):
-        _unique_rows(np.zeros((1, 2), dtype=np.int64), 2 ** 32)
