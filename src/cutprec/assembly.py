@@ -418,43 +418,6 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
     return A, acc.b
 
 
-def _split_columns(layout: DofLayout):
-    """Row/column index pairs of the basis transformation, all entries one."""
-    rows = []
-    cols = []
-    for vdof in (layout.v1_dof, layout.v2_dof):
-        present = vdof[layout.x0_vertices] >= 0
-        vs = layout.x0_vertices[present]
-        rows.append(vdof[vs])
-        cols.append(layout.x0_dof[vs])
-    in1 = np.isin(layout.x1_vertices, layout.sets.IG1)
-    for vdof, vs in ((layout.v1_dof, layout.x1_vertices[in1]),
-                     (layout.v2_dof, layout.x1_vertices[~in1])):
-        rows.append(vdof[vs])
-        cols.append(layout.x1_dof[vs])
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def build_L(layout: DofLayout) -> sp.csr_matrix:
-    """Basis transformation from split (x0, x1) to side-block coefficients.
-
-    Each x0 column places a unit entry in every side block whose extended
-    domain contains the vertex; each x1 column hits the single block where
-    the vertex acts as a cut dof (the side opposite its level-set sign).
-    For the fictitious domain there is one side block, so L is a
-    permutation (the identity, since the side-block ordering already lists
-    interior dofs before strip dofs).
-    """
-    rows, cols = _split_columns(layout)
-    expected = layout.dim + (layout.N1 if layout.problem == INTERFACE else 0)
-    if rows.size != expected:
-        raise ValueError("transformation entry count mismatch")
-    L = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                      shape=(layout.dim, layout.dim)).tocsr()
-    L.sort_indices()
-    return L
-
-
 def transform(A: sp.csr_matrix, b: np.ndarray, L: sp.csr_matrix,
               layout: DofLayout) -> TransformedSystem:
     """Congruence transform to the split basis and principal block split."""

@@ -16,13 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
-                       assemble_interface, build_L, dirichlet_values,
-                       transform, volume_point_blocks)
+                       assemble_interface, dirichlet_values, transform,
+                       volume_point_blocks)
 from .geometry import SphereLevelSet, build_cut_info, classify
 from .mesh import MeshHierarchy
 from .solver import (PRECONDITIONER_KINDS, DirectSolve, estimate_condition,
                      make_preconditioner, pcg, splitting_estimate)
-from .space import FICTITIOUS, INTERFACE, build_dof_layout, build_index_sets
+from .space import FICTITIOUS, INTERFACE, build_L, build_dof_layout
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ def _assemble(mesh, x0, config: ExperimentConfig, load: bool = True):
         raise ValueError(f"the unit sphere around x0 = "
                          f"{tuple(map(float, x0))} cuts no element of the "
                          f"level-{mesh.level} mesh")
-    layout = build_dof_layout(build_index_sets(mesh, cutinfo, config.problem))
+    layout = build_dof_layout(mesh, cutinfo, config.problem)
     coeffs = config.coefficients()
     if config.problem == INTERFACE:
         sol = interface_solution(x0, config.alpha1, config.alpha2)

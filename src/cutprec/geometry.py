@@ -297,27 +297,16 @@ def build_cut_info(mesh: Mesh, phi) -> CutInfo:
                    kappa1=rules.vol1 / tot, **vars(rules))
 
 
-def _unique_rows(rows: np.ndarray, n_vertices: int):
-    """Distinct rows of sorted vertex triples, through one exact int64 key
-    per row.
-
-    Returns (uniq, inverse, order): uniq and inverse are those of
-    np.unique(rows, axis=0, return_inverse=True), and order is the stable
-    sort of the rows, np.argsort(inverse, kind="stable").
-    """
+def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
+    """One exact int64 key per row of vertex triples, ordered as the rows
+    are lexicographically."""
     if n_vertices ** 3 - 1 > np.iinfo(np.int64).max:  # the largest key
         raise ValueError(f"{n_vertices} vertices overflow the int64 keys of "
                          "vertex triples")
     keys = np.zeros(rows.shape[0], dtype=np.int64)
     for col in rows.T:
         keys = keys * n_vertices + col
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    inverse = np.empty(keys.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[order[first]], inverse, order
+    return keys
 
 
 def ghost_facets(mesh: Mesh, cutinfo: CutInfo,
@@ -341,12 +330,13 @@ def ghost_facets(mesh: Mesh, cutinfo: CutInfo,
     marked[mesh.tets[cutinfo.cut_tets]] = True
     near = np.flatnonzero(in_ext & (marked[mesh.tets].sum(axis=1) >= 3))
     faces = np.sort(mesh.tets[near][:, _TET_FACES], axis=2).reshape(-1, 3)
-    _, inverse, order = _unique_rows(faces, mesh.n_vertices)
-    sorted_ids = inverse[order]
-    if np.any(sorted_ids[2:] == sorted_ids[:-2]):
+    keys = _row_keys(faces, mesh.n_vertices)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if np.any(keys[2:] == keys[:-2]):
         raise ValueError("nonconforming mesh: facet shared by more than 2 tets")
     # the stable sort keeps the lower owner of each shared face first
-    pair = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    pair = np.flatnonzero(keys[1:] == keys[:-1])
     tets = near[np.stack([order[pair], order[pair + 1]], axis=1) // 4]
     keep = np.any(cutinfo.tet_class[tets] == CUT, axis=1)
     return tets[keep], faces[order[pair[keep]]]

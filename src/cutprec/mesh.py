@@ -31,9 +31,9 @@ class Mesh:
     Vertices carry integer lattice indices (lattice, lattice_n): the physical
     coordinate is box_lo + extent * lattice / lattice_n.  Each tet's vertices
     are in cube-path order, which is also ascending (coordinate sum, i, j, k)
-    lattice order.  volumes are the absolute values of the signed tet
-    volumes.  All arrays are read-only
-    after construction.
+    lattice order.  Every Kuhn tet of an n x n x n grid of the box has the
+    volume of one grid cell over 6, which is what volumes holds per tet.
+    All arrays are read-only after construction.
     """
 
     vertices: np.ndarray
@@ -94,12 +94,6 @@ def p1_gradients(verts: np.ndarray) -> np.ndarray:
     return grads
 
 
-def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    p = vertices[tets]
-    e = p[:, 1:] - p[:, :1]
-    return np.einsum("ti,ti->t", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
-
-
 def _coords_from_lattice(lattice: np.ndarray, n: int, box: np.ndarray) -> np.ndarray:
     lo, hi = box[0], box[1]
     return lo + (hi - lo) * lattice / float(n)
@@ -107,14 +101,17 @@ def _coords_from_lattice(lattice: np.ndarray, n: int, box: np.ndarray) -> np.nda
 
 def _make_mesh(lattice: np.ndarray, n: int, box: np.ndarray,
                tets: np.ndarray, level: int) -> Mesh:
+    """The mesh of the Kuhn tets of the n x n x n lattice grid of the box.
+    Its volumes come from the grid alone, (ex/n)(ey/n)(ez/n)/6 for every
+    tet, which is > 0 for a box of positive extent; p1_gradients rejects a
+    tet of zero determinant."""
     vertices = _coords_from_lattice(lattice, n, box)
     on_bnd = np.any((lattice == 0) | (lattice == n), axis=1)
-    signed = _signed_volumes(vertices, tets)
-    if np.any(signed == 0):
-        raise ValueError("degenerate tetrahedron")
+    ex, ey, ez = box[1] - box[0]
+    cell = (ex / n) * (ey / n) * (ez / n)
     return Mesh(vertices=vertices, tets=tets, level=level,
                 boundary_vertex_flags=on_bnd, lattice=lattice, lattice_n=n,
-                box=box, volumes=np.abs(signed))
+                box=box, volumes=np.full(tets.shape[0], cell / 6))
 
 
 def _kuhn_tets(ids: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from cutprec.experiments import (ExperimentConfig, build_system,
                                  spectral_pencils)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
-from cutprec.space import FICTITIOUS, build_dof_layout, build_index_sets
+from cutprec.space import FICTITIOUS, build_dof_layout
 from cutprec.assembly import ProblemCoefficients, assemble_interface
 
 PAPER_DIMS = [(27, 27), (343, 208), (3375, 844), (29791, 3373)]
@@ -201,7 +201,7 @@ def test_criterion_7_oracle_equivalences(interface_study):
     tsys = build_system(config, 1)
     mesh = MeshHierarchy.build(1).finest
     info = build_cut_info(mesh, SphereLevelSet(center=x0))
-    layout = build_dof_layout(build_index_sets(mesh, info))
+    layout = build_dof_layout(mesh, info)
     sol = interface_solution(x0, config.alpha1, config.alpha2)
     A, _ = assemble_interface(mesh, info, layout, config.coefficients(),
                               sol.f, sol.u)
@@ -237,7 +237,7 @@ def test_criterion_7_oracle_equivalences(interface_study):
     mesh = MeshHierarchy.build(1).levels[1]
     far = SphereLevelSet(center=x0, radius=10.0)
     info = build_cut_info(mesh, far)
-    layout = build_dof_layout(build_index_sets(mesh, info))
+    layout = build_dof_layout(mesh, info)
     coeffs = ProblemCoefficients(alpha1=1.0, alpha2=1.0)
     zero = lambda pts: np.zeros(pts.shape[0])
     A, _ = assemble_interface(mesh, info, layout, coeffs, zero,

@@ -8,7 +8,6 @@ from cutprec.assembly import (
     ProblemCoefficients,
     assemble_fd,
     assemble_interface,
-    build_L,
     dirichlet_values,
     transform,
     volume_point_blocks,
@@ -19,8 +18,8 @@ from cutprec.mesh import MeshHierarchy, p1_gradients
 from cutprec.space import (
     FICTITIOUS,
     INTERFACE,
+    build_L,
     build_dof_layout,
-    build_index_sets,
 )
 from test_geometry import reference_ghost_facets, split_cut_tet
 from test_memory import OracleAccumulator, UpperBlockOracle, \
@@ -46,7 +45,7 @@ def zero(pts):
 def make_problem(level, problem=INTERFACE, center=X0, radius=1.0):
     mesh = MeshHierarchy.build(level).finest
     ci = build_cut_info(mesh, SphereLevelSet(center=center, radius=radius))
-    layout = build_dof_layout(build_index_sets(mesh, ci, problem))
+    layout = build_dof_layout(mesh, ci, problem)
     return mesh, ci, layout
 
 
@@ -231,7 +230,7 @@ def test_build_L_structure(interface1):
     assert L.shape == (layout.dim, layout.dim)
     assert np.all(L.data == 1.0)
     counts = np.diff(L.tocsc().indptr)
-    in_strip = np.isin(layout.x0_vertices, layout.sets.IG)
+    in_strip = np.isin(layout.x0_vertices, layout.x1_vertices)
     assert np.array_equal(counts[layout.x0_dof[layout.x0_vertices]],
                           np.where(in_strip, 2, 1))
     assert np.all(counts[layout.x1_dof[layout.x1_vertices]] == 1)
@@ -242,7 +241,7 @@ def test_build_L_structure(interface1):
 def test_build_L_strip_column_hits_both_sides(interface1):
     _, _, layout = interface1
     L = build_L(layout).tocsc()
-    v = layout.sets.IG2[0]
+    v = layout.IG2[0]
     col = L[:, layout.x0_dof[v]].toarray().ravel()
     assert col[layout.v1_dof[v]] == 1.0
     assert col[layout.v2_dof[v]] == 1.0
@@ -255,7 +254,7 @@ def test_build_L_strip_column_hits_both_sides(interface1):
 def test_build_L_interior_column_single_entry(interface1):
     _, _, layout = interface1
     L = build_L(layout).tocsc()
-    interior = np.setdiff1d(layout.x0_vertices, layout.sets.IG)
+    interior = np.setdiff1d(layout.x0_vertices, layout.x1_vertices)
     cols = layout.x0_dof[interior]
     assert np.all(np.diff(L.indptr)[cols] == 1)
 
@@ -274,8 +273,8 @@ def test_L_pointwise_evaluation_oracle(interface1):
     ug[layout.x1_vertices] = xhat[layout.x1_dof[layout.x1_vertices]]
 
     for side, elems, vdof, strip in (
-            (1, ci.ext1, layout.v1_dof, layout.sets.IG1),
-            (2, ci.ext2, layout.v2_dof, layout.sets.IG2)):
+            (1, ci.ext1, layout.v1_dof, layout.IG1),
+            (2, ci.ext2, layout.v2_dof, layout.IG2)):
         coeff = np.zeros(mesh.n_vertices)
         nodes = layout.v1_vertices if side == 1 else layout.v2_vertices
         coeff[nodes] = x[vdof[nodes]]

@@ -25,8 +25,7 @@ from cutprec.experiments import (ExperimentConfig, ManufacturedSolution,
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import estimate_condition
-from cutprec.space import (FICTITIOUS, INTERFACE, build_dof_layout,
-                           build_index_sets)
+from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout
 
 X0 = np.array([0.001, 0.002, 0.003])
 ALPHA1, ALPHA2 = 1.0, 10.0
@@ -123,7 +122,7 @@ def test_error_norms_affine_exact(problem):
     # P1 spaces reproduce affine functions on both integration paths
     mesh = MeshHierarchy.build(0).levels[0]
     cutinfo = build_cut_info(mesh, SphereLevelSet(center=X0))
-    layout = build_dof_layout(build_index_sets(mesh, cutinfo, problem))
+    layout = build_dof_layout(mesh, cutinfo, problem)
     sol = affine_solution()
     y = np.zeros(layout.dim)
     y[layout.v1_dof[layout.v1_vertices]] = sol.u(

@@ -35,8 +35,7 @@ from cutprec.geometry import TET_RULE_LAM, TET_RULE_W, SphereLevelSet, \
     build_cut_info, ghost_facets
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import DirectSolve
-from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout, \
-    build_index_sets
+from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout
 
 MB = 1e6
 
@@ -288,7 +287,7 @@ def interface2():
     config = ExperimentConfig()
     mesh = MeshHierarchy.build(2).finest
     cutinfo = build_cut_info(mesh, SphereLevelSet(center=config.x0))
-    layout = build_dof_layout(build_index_sets(mesh, cutinfo, INTERFACE))
+    layout = build_dof_layout(mesh, cutinfo, INTERFACE)
     mesh.gradients  # cached per mesh, not part of either peak
     sol = interface_solution(config.x0, config.alpha1, config.alpha2)
     return config, mesh, cutinfo, layout, sol
@@ -338,8 +337,8 @@ def test_level2_error_norms_peak(interface2):
 def test_level2_mesh_build_peak():
     # with a facet table on every level, the build peaked at 29.0 MB; by
     # red refinement, keying the edges, at 10.4 MB; built directly from the
-    # lattice, at 7.7 MB
-    assert traced_peak(MeshHierarchy.build, 2) < 9.0
+    # lattice, at 7.7 MB; with the volumes taken from the lattice, at 1.7 MB
+    assert traced_peak(MeshHierarchy.build, 2) < 3.0
 
 
 @pytest.mark.parametrize("side", [1, 2])

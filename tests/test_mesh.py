@@ -5,7 +5,7 @@ import pytest
 
 import cutprec.geometry as geometry_module
 from cutprec.experiments import ExperimentConfig
-from cutprec.geometry import SphereLevelSet, _unique_rows, build_cut_info, \
+from cutprec.geometry import SphereLevelSet, _row_keys, build_cut_info, \
     ghost_facets
 from cutprec.mesh import (
     Mesh,
@@ -50,7 +50,7 @@ def reference_refine(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
     tets = mesh.tets
     nv = mesh.n_vertices
     pairs = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1)
-    edges, edge_of, _ = reference_unique_rows(pairs, nv)
+    edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
     edge_of = edge_of.reshape(-1, 6)
     mid = nv + np.arange(edges.shape[0])
 
@@ -154,6 +154,20 @@ def test_orientation_convention():
     assert np.any(signed > 0) and np.any(signed < 0)
     assert np.all(signed != 0)
     assert np.allclose(np.abs(signed), mesh.volumes)
+
+
+def test_lattice_volumes_match_signed_volumes_bitwise():
+    # the per-grid volume equals the determinant formula bit for bit on
+    # every mesh the program and the tests build
+    meshes = MeshHierarchy.build(3).levels + [
+        build_initial_mesh(n, ((0, 0, 0), (1, 1, 1))) for n in (1, 2)]
+    for mesh in meshes:
+        p = mesh.vertices[mesh.tets]
+        e = p[:, 1:] - p[:, :1]
+        signed = np.einsum("ti,ti->t", e[:, 0],
+                           np.cross(e[:, 1], e[:, 2])) / 6.0
+        assert mesh.volumes.dtype == signed.dtype
+        assert np.array_equal(mesh.volumes, np.abs(signed)), mesh.lattice_n
 
 
 def test_gradients_cached_read_only_and_exact():
@@ -326,11 +340,10 @@ def test_conformity_all_levels():
         assert np.count_nonzero(counts == 1) == 6 * 2 * n_side ** 2
 
 
-def reference_unique_rows(rows, n_vertices):
-    """_unique_rows through np.unique(axis=0), without integer keys."""
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return uniq, inverse, np.argsort(inverse, kind="stable")
+def reference_row_keys(rows, n_vertices):
+    """_row_keys through np.unique(axis=0), without integer keys: the rank
+    of each row among the distinct rows, ordered as the keys are."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 class ReferenceFacets(NamedTuple):
@@ -389,7 +402,7 @@ def level3_cut():
 def test_integer_keys_match_unique_axis0(level3_cut, monkeypatch):
     mesh, cutinfo = level3_cut
     got = [ghost_facets(mesh, cutinfo, side) for side in (1, 2)]
-    monkeypatch.setattr(geometry_module, "_unique_rows", reference_unique_rows)
+    monkeypatch.setattr(geometry_module, "_row_keys", reference_row_keys)
     want = [ghost_facets(mesh, cutinfo, side) for side in (1, 2)]
     for side_got, side_want in zip(got, want):
         assert side_got[0].size > 0
@@ -404,10 +417,10 @@ def test_integer_keys_reject_overflow():
     nv = 129 ** 3
     with pytest.raises(ValueError, match=f"{nv} vertices overflow the int64 "
                        "keys of vertex triples"):
-        _unique_rows(np.array([[0, 1, 2]]), nv)
+        _row_keys(np.array([[0, 1, 2]]), nv)
     # the largest key, n^3 - 1, is exact up to n = 2^21 and no further
-    top = np.full((1, 3), 2 ** 21 - 1)
-    uniq, inverse, order = _unique_rows(top, 2 ** 21)
-    assert np.array_equal(uniq, top) and inverse[0] == 0 == order[0]
-    with pytest.raises(ValueError, match=f"{2 ** 21 + 1} vertices overflow"):
-        _unique_rows(top, 2 ** 21 + 1)
+    n = 2 ** 21
+    top = np.full((1, 3), n - 1)
+    assert _row_keys(top, n).tolist() == [n ** 3 - 1]
+    with pytest.raises(ValueError, match=f"{n + 1} vertices overflow"):
+        _row_keys(top, n + 1)

@@ -15,15 +15,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from types import SimpleNamespace
 
-from cutprec.assembly import (ProblemCoefficients, assemble_interface,
-                              build_L, transform)
+from cutprec.assembly import ProblemCoefficients, assemble_interface, \
+    transform
 from cutprec import experiments
 from cutprec.experiments import (ExperimentConfig, build_system,
                                  multigrid_active_sets, spectral_pencils)
 from cutprec.geometry import SphereLevelSet, build_cut_info
 from cutprec.mesh import MeshHierarchy
-from cutprec.space import (FICTITIOUS, INTERFACE, build_dof_layout,
-                           build_index_sets)
+from cutprec.space import FICTITIOUS, INTERFACE, build_L, build_dof_layout
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
                             GeometricMultigrid, SymmetricGaussSeidel,
                             _lanczos_extremes, build_prolongations,
@@ -80,7 +79,7 @@ def interface_systems(hierarchy2):
     for lvl in (0, 1):
         mesh = hierarchy2.levels[lvl]
         ci = build_cut_info(mesh, SphereLevelSet(center=X0))
-        layout = build_dof_layout(build_index_sets(mesh, ci, INTERFACE))
+        layout = build_dof_layout(mesh, ci, INTERFACE)
         A, b = assemble_interface(mesh, ci, layout, coeffs, f, g)
         out.append(transform(A, b, build_L(layout), layout))
     return out
@@ -96,7 +95,7 @@ def uncut_laplacians(hierarchy2):
     for mesh in hierarchy2.levels:
         ci = build_cut_info(mesh, SphereLevelSet(center=X0, radius=10.0))
         assert ci.n_cut == 0
-        layout = build_dof_layout(build_index_sets(mesh, ci, INTERFACE))
+        layout = build_dof_layout(mesh, ci, INTERFACE)
         A, _ = assemble_interface(mesh, ci, layout, coeffs, zero,
                                   lambda pts, side: zero(pts))
         mats.append(A.tocsr())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from cutprec.space import (
     FICTITIOUS,
     INTERFACE,
     build_dof_layout,
-    build_index_sets,
 )
 
 X0 = (0.001, 0.002, 0.003)
@@ -27,20 +28,20 @@ def cutinfos(hierarchy):
 def test_interface_dimensions_levels_0_to_2(hierarchy, cutinfos):
     expected = {0: (27, 27), 1: (343, 208), 2: (3375, 844)}
     for mesh, ci in zip(hierarchy.levels, cutinfos):
-        sets = build_index_sets(mesh, ci, INTERFACE)
-        layout = build_dof_layout(sets)
+        layout = build_dof_layout(mesh, ci, INTERFACE)
         assert (layout.N0, layout.N1) == expected[mesh.level]
 
 
 def test_interface_partition_invariants(hierarchy, cutinfos):
     for mesh, ci in zip(hierarchy.levels, cutinfos):
-        s = build_index_sets(mesh, ci, INTERFACE)
+        s = build_dof_layout(mesh, ci, INTERFACE)
+        I1, I2 = np.sort(s.v1_vertices), np.sort(s.v2_vertices)
         assert np.intersect1d(s.IG1, s.IG2).size == 0
-        assert np.array_equal(np.union1d(s.IG1, s.IG2), s.IG)
-        p1 = np.setdiff1d(s.I1, s.IG1)
-        p2 = np.setdiff1d(s.I2, s.IG2)
+        assert np.array_equal(np.union1d(s.IG1, s.IG2), s.x1_vertices)
+        p1 = np.setdiff1d(I1, s.IG1)
+        p2 = np.setdiff1d(I2, s.IG2)
         assert np.intersect1d(p1, p2).size == 0
-        assert np.array_equal(np.union1d(p1, p2), s.I0)
+        assert np.array_equal(np.union1d(p1, p2), s.x0_vertices)
         # a node not in region 2 lies in region 1's interior set
         assert np.setdiff1d(s.IG2, p1).size == 0
         # defining sign rule
@@ -55,32 +56,31 @@ def test_partition_invariants_random_centers():
         c = rng.uniform(-0.25, 0.25, size=3)
         r = rng.uniform(0.6, 1.2)
         ci = build_cut_info(mesh, SphereLevelSet(center=c, radius=r))
-        s = build_index_sets(mesh, ci, INTERFACE)  # validates internally
-        layout = build_dof_layout(s)
-        assert layout.dim == s.I1.size + s.I2.size
+        layout = build_dof_layout(mesh, ci, INTERFACE)  # validates
+        assert layout.dim == layout.v1_vertices.size + layout.v2_vertices.size
 
 
 def test_no_cut_degenerates_to_conforming_space():
     mesh = build_initial_mesh(2, ((0, 0, 0), (1, 1, 1)))
     ci = build_cut_info(mesh, SphereLevelSet(center=(50.0, 0, 0)))
-    s = build_index_sets(mesh, ci, INTERFACE)
-    assert s.IG.size == 0
-    layout = build_dof_layout(s)
+    layout = build_dof_layout(mesh, ci, INTERFACE)
+    assert layout.x1_vertices.size == 0
     assert layout.N1 == 0
-    assert layout.dim == s.I0.size
-    assert np.array_equal(layout.v2_vertices, s.I0)  # everything on side 2
+    assert layout.dim == layout.x0_vertices.size
+    # everything on side 2
+    assert np.array_equal(layout.v2_vertices, layout.x0_vertices)
 
 
 def test_dof_layout_orderings(hierarchy, cutinfos):
     mesh, ci = hierarchy.levels[1], cutinfos[1]
-    s = build_index_sets(mesh, ci, INTERFACE)
-    lay = build_dof_layout(s)
-    p1 = np.setdiff1d(s.I1, s.IG1)
-    p2 = np.setdiff1d(s.I2, s.IG2)
-    assert np.array_equal(lay.v1_vertices, np.concatenate([p1, s.IG1]))
-    assert np.array_equal(lay.v2_vertices, np.concatenate([p2, s.IG2]))
-    assert np.array_equal(lay.x0_vertices, s.I0)
-    assert np.array_equal(lay.x1_vertices, s.IG)
+    lay = build_dof_layout(mesh, ci, INTERFACE)
+    p1 = np.setdiff1d(lay.v1_vertices, lay.IG1)
+    p2 = np.setdiff1d(lay.v2_vertices, lay.IG2)
+    assert np.array_equal(lay.v1_vertices, np.concatenate([p1, lay.IG1]))
+    assert np.array_equal(lay.v2_vertices, np.concatenate([p2, lay.IG2]))
+    assert np.array_equal(lay.x0_vertices,
+                          np.flatnonzero(~mesh.boundary_vertex_flags))
+    assert np.array_equal(lay.x1_vertices, np.union1d(lay.IG1, lay.IG2))
     # inverse maps are bijections onto consecutive ranges
     assert np.array_equal(np.sort(lay.v1_dof[lay.v1_vertices]),
                           np.arange(lay.v1_vertices.size))
@@ -93,7 +93,7 @@ def test_dof_layout_orderings(hierarchy, cutinfos):
 
 def test_fd_recount_oracle(hierarchy, cutinfos):
     mesh, ci = hierarchy.levels[0], cutinfos[0]
-    s = build_index_sets(mesh, ci, FICTITIOUS)
+    lay = build_dof_layout(mesh, ci, FICTITIOUS)
     # brute-force recount from scratch
     ext1_nodes = set()
     cut_nodes = set()
@@ -104,10 +104,9 @@ def test_fd_recount_oracle(hierarchy, cutinfos):
             cut_nodes.update(tet.tolist())
     strip = {v for v in cut_nodes if ci.vertex_phi[v] > 0}
     interior = ext1_nodes - strip
-    assert set(s.I1.tolist()) == ext1_nodes
-    assert set(s.IG1.tolist()) == strip
-    assert set(s.I0.tolist()) == interior
-    lay = build_dof_layout(s)
+    assert set(lay.v1_vertices.tolist()) == ext1_nodes
+    assert set(lay.IG1.tolist()) == strip
+    assert set(lay.x0_vertices.tolist()) == interior
     assert (lay.N0, lay.N1) == (len(interior), len(strip))
 
 
@@ -115,13 +114,13 @@ def test_fd_dimensions_match_reference_counts(hierarchy, cutinfos):
     # observed agreement with the uniform-refinement node counts
     expected = {0: (7, 44), 1: (81, 140), 2: (619, 500)}
     for mesh, ci in zip(hierarchy.levels, cutinfos):
-        lay = build_dof_layout(build_index_sets(mesh, ci, FICTITIOUS))
+        lay = build_dof_layout(mesh, ci, FICTITIOUS)
         assert (lay.N0, lay.N1) == expected[mesh.level]
 
 
 def test_fd_layout_is_identity_friendly(hierarchy, cutinfos):
     mesh, ci = hierarchy.levels[1], cutinfos[1]
-    lay = build_dof_layout(build_index_sets(mesh, ci, FICTITIOUS))
+    lay = build_dof_layout(mesh, ci, FICTITIOUS)
     assert lay.v2_vertices.size == 0
     assert np.array_equal(lay.v1_vertices,
                           np.concatenate([lay.x0_vertices, lay.x1_vertices]))
@@ -133,7 +132,7 @@ def test_growth_factors():
     n0, n1 = [], []
     for mesh in hier.levels:
         ci = build_cut_info(mesh, phi)
-        lay = build_dof_layout(build_index_sets(mesh, ci, INTERFACE))
+        lay = build_dof_layout(mesh, ci, INTERFACE)
         n0.append(lay.N0)
         n1.append(lay.N1)
     # asymptotic growth: x8 for the global space, x4 for the strip space,
@@ -144,3 +143,16 @@ def test_growth_factors():
     for k in (2, 3):
         assert 3.0 <= n1[k] / n1[k - 1] <= 5.0
 
+
+
+def test_layout_checks_reject_bad_input(hierarchy, cutinfos):
+    mesh, ci = hierarchy.levels[1], cutinfos[1]
+    with pytest.raises(ValueError, match="unknown problem kind 'stokes'"):
+        build_dof_layout(mesh, ci, "stokes")
+    # a cut vertex snapped to 0 lies in IG but on neither side of it
+    lay = build_dof_layout(mesh, ci, INTERFACE)
+    phi = ci.vertex_phi.copy()
+    phi[lay.IG1[0]] = 0.0
+    bad = dataclasses.replace(ci, vertex_phi=phi)
+    with pytest.raises(ValueError, match="IG1 and IG2 do not partition IG"):
+        build_dof_layout(mesh, bad, INTERFACE)
