@@ -86,13 +86,8 @@ def build_dof_layout(mesh: Mesh, cutinfo: CutInfo,
         IG1 = IG[phi[IG] > 0]
         IG2 = IG[phi[IG] < 0]
         I0 = np.flatnonzero(keep)
-    else:
-        I2 = IG2 = np.zeros(0, dtype=np.int64)
-        IG = IG1 = cut_nodes[phi[cut_nodes] > 0]
-        I0 = np.setdiff1d(I1, IG1)
-    part1 = np.setdiff1d(I1, IG1)
-    part2 = np.setdiff1d(I2, IG2)
-    if problem == INTERFACE:
+        part1 = np.setdiff1d(I1, IG1)
+        part2 = np.setdiff1d(I2, IG2)
         if np.intersect1d(IG1, IG2).size:
             raise ValueError("IG1 and IG2 overlap")
         if not np.array_equal(np.union1d(IG1, IG2), IG):
@@ -103,8 +98,12 @@ def build_dof_layout(mesh: Mesh, cutinfo: CutInfo,
             raise ValueError("side interiors do not partition I0")
         if np.setdiff1d(IG2, part1).size:
             raise ValueError("a node outside region 2 is missing from side 1")
-    elif np.intersect1d(I0, IG1).size:
-        raise ValueError("strip dofs leak into the interior dof set")
+    else:
+        part2 = IG2 = np.zeros(0, dtype=np.int64)
+        IG = IG1 = cut_nodes[phi[cut_nodes] > 0]
+        I0 = part1 = np.setdiff1d(I1, IG1)
+        if np.intersect1d(I0, IG1).size:
+            raise ValueError("strip dofs leak into the interior dof set")
 
     def inverse(vertices: np.ndarray, offset: int = 0) -> np.ndarray:
         inv = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -114,8 +113,6 @@ def build_dof_layout(mesh: Mesh, cutinfo: CutInfo,
     v1 = np.concatenate([part1, IG1])
     v2 = np.concatenate([part2, IG2])
     N0, N1 = I0.size, IG.size
-    if v1.size + v2.size != N0 + N1:
-        raise ValueError("side-block and split dimensions disagree")
     return DofLayout(
         problem=problem, N0=N0, N1=N1,
         v1_vertices=v1, v2_vertices=v2,

@@ -146,26 +146,19 @@ def test_volume_partition_analytic_box():
 
 
 def test_orientation_convention():
-    mesh = build_initial_mesh(2, BOX)
-    p = mesh.vertices[mesh.tets]
-    e = p[:, 1:] - p[:, :1]
-    signed = np.einsum("ti,ti->t", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
-    # Kuhn tets of both parities; volumes are the unsigned ones
-    assert np.any(signed > 0) and np.any(signed < 0)
-    assert np.all(signed != 0)
-    assert np.allclose(np.abs(signed), mesh.volumes)
-
-
-def test_lattice_volumes_match_signed_volumes_bitwise():
-    # the per-grid volume equals the determinant formula bit for bit on
-    # every mesh the program and the tests build
+    # the lattice volume of each mesh equals the determinant formula bit for
+    # bit on every mesh the program and the tests build
     meshes = MeshHierarchy.build(3).levels + [
-        build_initial_mesh(n, ((0, 0, 0), (1, 1, 1))) for n in (1, 2)]
+        build_initial_mesh(n, ((0, 0, 0), (1, 1, 1))) for n in (1, 2)] + [
+        build_initial_mesh(2, BOX)]
     for mesh in meshes:
         p = mesh.vertices[mesh.tets]
         e = p[:, 1:] - p[:, :1]
         signed = np.einsum("ti,ti->t", e[:, 0],
                            np.cross(e[:, 1], e[:, 2])) / 6.0
+        # Kuhn tets of both parities; volumes are the unsigned ones
+        assert np.any(signed > 0) and np.any(signed < 0)
+        assert np.all(signed != 0)
         assert mesh.volumes.dtype == signed.dtype
         assert np.array_equal(mesh.volumes, np.abs(signed)), mesh.lattice_n
 

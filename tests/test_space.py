@@ -25,6 +25,13 @@ def cutinfos(hierarchy):
     return [build_cut_info(m, phi) for m in hierarchy.levels]
 
 
+def interior_nodes(mesh, tet_ids):
+    """The sorted non-Dirichlet vertices of the given tets, derived here
+    independently of the layout."""
+    nodes = np.unique(mesh.tets[tet_ids])
+    return nodes[~mesh.boundary_vertex_flags[nodes]]
+
+
 def test_interface_dimensions_levels_0_to_2(hierarchy, cutinfos):
     expected = {0: (27, 27), 1: (343, 208), 2: (3375, 844)}
     for mesh, ci in zip(hierarchy.levels, cutinfos):
@@ -35,7 +42,11 @@ def test_interface_dimensions_levels_0_to_2(hierarchy, cutinfos):
 def test_interface_partition_invariants(hierarchy, cutinfos):
     for mesh, ci in zip(hierarchy.levels, cutinfos):
         s = build_dof_layout(mesh, ci, INTERFACE)
-        I1, I2 = np.sort(s.v1_vertices), np.sort(s.v2_vertices)
+        I1, I2 = interior_nodes(mesh, ci.ext1), interior_nodes(mesh, ci.ext2)
+        assert np.array_equal(np.sort(s.v1_vertices), I1)
+        assert np.array_equal(np.sort(s.v2_vertices), I2)
+        assert np.array_equal(s.x1_vertices,
+                              interior_nodes(mesh, ci.cut_tets))
         assert np.intersect1d(s.IG1, s.IG2).size == 0
         assert np.array_equal(np.union1d(s.IG1, s.IG2), s.x1_vertices)
         p1 = np.setdiff1d(I1, s.IG1)
@@ -57,7 +68,10 @@ def test_partition_invariants_random_centers():
         r = rng.uniform(0.6, 1.2)
         ci = build_cut_info(mesh, SphereLevelSet(center=c, radius=r))
         layout = build_dof_layout(mesh, ci, INTERFACE)  # validates
-        assert layout.dim == layout.v1_vertices.size + layout.v2_vertices.size
+        I1, I2 = interior_nodes(mesh, ci.ext1), interior_nodes(mesh, ci.ext2)
+        assert np.array_equal(np.sort(layout.v1_vertices), I1)
+        assert np.array_equal(np.sort(layout.v2_vertices), I2)
+        assert layout.dim == I1.size + I2.size
 
 
 def test_no_cut_degenerates_to_conforming_space():
@@ -74,13 +88,13 @@ def test_no_cut_degenerates_to_conforming_space():
 def test_dof_layout_orderings(hierarchy, cutinfos):
     mesh, ci = hierarchy.levels[1], cutinfos[1]
     lay = build_dof_layout(mesh, ci, INTERFACE)
-    p1 = np.setdiff1d(lay.v1_vertices, lay.IG1)
-    p2 = np.setdiff1d(lay.v2_vertices, lay.IG2)
+    p1 = np.setdiff1d(interior_nodes(mesh, ci.ext1), lay.IG1)
+    p2 = np.setdiff1d(interior_nodes(mesh, ci.ext2), lay.IG2)
     assert np.array_equal(lay.v1_vertices, np.concatenate([p1, lay.IG1]))
     assert np.array_equal(lay.v2_vertices, np.concatenate([p2, lay.IG2]))
     assert np.array_equal(lay.x0_vertices,
                           np.flatnonzero(~mesh.boundary_vertex_flags))
-    assert np.array_equal(lay.x1_vertices, np.union1d(lay.IG1, lay.IG2))
+    assert np.array_equal(lay.x1_vertices, interior_nodes(mesh, ci.cut_tets))
     # inverse maps are bijections onto consecutive ranges
     assert np.array_equal(np.sort(lay.v1_dof[lay.v1_vertices]),
                           np.arange(lay.v1_vertices.size))
@@ -142,7 +156,6 @@ def test_growth_factors():
         assert 3.0 <= n1[k] / n1[k - 1] <= 5.0
     for k in (2, 3):
         assert 3.0 <= n1[k] / n1[k - 1] <= 5.0
-
 
 
 def test_layout_checks_reject_bad_input(hierarchy, cutinfos):
