@@ -82,7 +82,9 @@ def test_no_cut_degenerates_to_conforming_space():
     assert layout.N1 == 0
     assert layout.dim == layout.x0_vertices.size
     # everything on side 2
-    assert np.array_equal(layout.v2_vertices, layout.x0_vertices)
+    interior = np.flatnonzero(~mesh.boundary_vertex_flags)
+    assert np.array_equal(layout.x0_vertices, interior)
+    assert np.array_equal(layout.v2_vertices, interior)
 
 
 def test_dof_layout_orderings(hierarchy, cutinfos):
