@@ -22,7 +22,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg._dsolve import _superlu
 
 from .mesh import MeshHierarchy
 from .space import FICTITIOUS
@@ -99,48 +98,16 @@ class DirectSolve:
         return x
 
 
-class _TriangularSolve:
-    """x = T^{-1} b for a sparse triangular matrix T in CSR format.
-
-    Runs the SuperLU substitution behind scipy's sparse triangular solver
-    on the factors that solver would prepare, so the results agree with it
-    bit for bit.  The preparation (transpose, inverse-diagonal scaling,
-    duplicate summing, unit partner factor, index casts), which scipy
-    repeats on every call, is done here once.
-    """
-
-    def __init__(self, T: sp.csr_matrix, lower: bool):
-        A = T.T  # CSC storage of T^T; SuperLU solves with trans "T"
-        self._invdiag = 1 / A.diagonal()
-        A = (A.T @ sp.diags_array(self._invdiag)).T
-        A.sum_duplicates()
-        n = A.shape[0]
-        if lower:  # T^T is upper triangular
-            L = sp.eye_array(n, format="csc")
-            U = A
-            U.setdiag(0)
-        else:
-            L = A
-            U = sp.csc_array((n, n))
-        self._factors = tuple(
-            arg for F in (L, U)
-            for arg in (n, F.nnz, F.data, np.asarray(F.indices, np.intc),
-                        np.asarray(F.indptr, np.intc)))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = _superlu.gstrs("T", *self._factors,
-                                 np.array(b, dtype=float))
-        if info:
-            raise np.linalg.LinAlgError("A is singular.")
-        return x * self._invdiag
-
-
 class SymmetricGaussSeidel:
     """Symmetric Gauss-Seidel sweeps in natural dof order.
 
     One application performs `sweeps` iterations of the stationary method
     with the splitting M = (D+L) D^{-1} (D+U); a single sweep is the
-    classical forward+backward substitution pair.
+    classical forward+backward substitution pair.  Both substitutions run
+    on one SuperLU factor of D+L, taken in natural order without pivoting,
+    so it has no fill: the forward sweep solves with D+L, the backward
+    sweep with its transpose.  For a symmetric M that transpose is D+U, so
+    the application is exactly symmetric, as PCG assumes.
     """
 
     kind = KIND_SGS
@@ -149,17 +116,17 @@ class SymmetricGaussSeidel:
         if sweeps < 1:
             raise ValueError("sweep count must be positive")
         csr = sp.csr_matrix(M)
-        d = csr.diagonal().copy()
+        d = csr.diagonal()
         if np.any(d == 0.0):
             raise ValueError("zero diagonal entry")
         self._d = d
-        self._forward = _TriangularSolve(sp.tril(csr).tocsr(), lower=True)
-        self._backward = _TriangularSolve(sp.triu(csr).tocsr(), lower=False)
+        self._lu = spla.splu(sp.tril(csr, format="csc"),
+                             permc_spec="NATURAL", diag_pivot_thresh=0)
         self._M = csr
         self.sweeps = int(sweeps)
 
     def _sweep(self, r: np.ndarray) -> np.ndarray:
-        return self._backward.solve(self._d * self._forward.solve(r))
+        return self._lu.solve(self._d * self._lu.solve(r), trans="T")
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         x = self._sweep(r)
@@ -256,6 +223,7 @@ class GeometricMultigrid:
             ops.append((P.T @ ops[-1] @ P).tocsr())
         self.operators = ops[::-1]  # coarsest first
         self._prols = list(prolongations)
+        self._restrictions = [P.T for P in self._prols]
         self._smoothers = [SymmetricGaussSeidel(A) for A in self.operators[1:]]
         self._coarse = DirectSolve(self.operators[0])
 
@@ -264,9 +232,9 @@ class GeometricMultigrid:
             return self._coarse.apply(b)
         A = self.operators[level]
         smooth = self._smoothers[level - 1]
-        P = self._prols[level - 1]
+        P, R = self._prols[level - 1], self._restrictions[level - 1]
         x = smooth.apply(b)
-        x += P @ self._vcycle(level - 1, P.T @ (b - A @ x))
+        x += P @ self._vcycle(level - 1, R @ (b - A @ x))
         x += smooth.apply(b - A @ x)
         return x
 
@@ -522,8 +490,9 @@ def splitting_estimate(A01, A1, solve0, solve1) -> ConditionEstimate:
     stop is ten times tighter than estimate_condition's.  Raises
     ValueError when gamma >= 1: Ahat is then not positive definite.
     """
+    A10 = A01.T
     G = spla.LinearOperator(A1.shape, dtype=float,
-                            matvec=lambda v: A01.T @ solve0.apply(A01 @ v))
+                            matvec=lambda v: A10 @ solve0.apply(A01 @ v))
     _, gamma2, converged, steps = _lanczos_extremes(
         G, A1, solve1, None, 0, rtol=1e-10, largest_only=True)
     gamma = float(np.sqrt(max(gamma2, 0.0)))

@@ -102,8 +102,6 @@ def build_dof_layout(mesh: Mesh, cutinfo: CutInfo,
         part2 = IG2 = np.zeros(0, dtype=np.int64)
         IG = IG1 = cut_nodes[phi[cut_nodes] > 0]
         I0 = part1 = np.setdiff1d(I1, IG1)
-        if np.intersect1d(I0, IG1).size:
-            raise ValueError("strip dofs leak into the interior dof set")
 
     def inverse(vertices: np.ndarray, offset: int = 0) -> np.ndarray:
         inv = np.full(mesh.n_vertices, -1, dtype=np.int64)
