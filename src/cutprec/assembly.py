@@ -38,9 +38,9 @@ class ProblemCoefficients:
     The interface penalty is scaled by the harmonic mean alpha_bar of
     (alpha1, alpha2); the fictitious-domain form ignores the diffusion pair
     (unit coefficient).  The boundary penalty is divided by the element
-    diameter in the interface form and by the global mesh size in the
-    fictitious-domain form; each ghost facet is scaled by the global mesh
-    size.
+    diameter (Mesh.diameter, the same for every tet) in the interface form
+    and by the global mesh size in the fictitious-domain form; each ghost
+    facet is scaled by the global mesh size.
     """
 
     alpha1: float = 1.0
@@ -165,14 +165,6 @@ def _take_all(pieces: list, dtype) -> np.ndarray:
     return out
 
 
-def element_diameters(verts: np.ndarray) -> np.ndarray:
-    """Longest edge of each tet given as vertex arrays of shape (n, 4, 3)."""
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    lengths = np.stack([np.linalg.norm(verts[:, a] - verts[:, b], axis=1)
-                        for a, b in pairs], axis=1)
-    return lengths.max(axis=1)
-
-
 def dirichlet_values(mesh: Mesh, g) -> np.ndarray:
     """Per-side boundary data interpolated at box-boundary vertices.
 
@@ -203,13 +195,14 @@ def _side_measures(mesh: Mesh, cutinfo: CutInfo):
     return meas1, meas2
 
 
-def _add_volume(acc, mesh, grads, meas, alpha, vdof, liftvals):
+def _add_volume(acc, mesh, meas, alpha, vdof, liftvals):
+    """Volume term alpha |T| grad phi_i . grad phi_j, from the Gram blocks
+    of the 6 Kuhn shapes."""
     sel = np.flatnonzero(meas > 0)
     if sel.size == 0:
         return
-    g = grads[sel]
-    upper = _upper(g @ g.transpose(0, 2, 1))
-    del g  # 144 MB on side 2 at level 4, not needed by add_local
+    g = mesh.shape_gradients
+    upper = _upper(g @ g.transpose(0, 2, 1))[mesh.shape_of(sel)]
     upper *= (alpha * meas[sel])[:, None]
     verts = mesh.tets[sel]
     lift = None if liftvals is None else liftvals[verts]
@@ -223,7 +216,7 @@ def _upper(local: np.ndarray) -> np.ndarray:
     return local[:, iu, ju]
 
 
-def _surface_batches(mesh, cutinfo, grads):
+def _surface_batches(mesh, cutinfo):
     """Group cut elements by interface point count; yield per-group geometry.
 
     Yields (cut-local ids, element ids, weights (m,p), barycentric values
@@ -237,13 +230,14 @@ def _surface_batches(mesh, cutinfo, grads):
         pts = cutinfo.spts[idx]
         w = cutinfo.sw[idx]
         v0 = mesh.vertices[mesh.tets[tids, 0]]
-        lam = np.einsum("mix,mpx->mpi", grads[tids], pts - v0[:, None, :])
+        grads = mesh.element_gradients(tids)
+        lam = np.einsum("mix,mpx->mpi", grads, pts - v0[:, None, :])
         lam[:, :, 0] += 1.0
-        gn = np.einsum("mix,mx->mi", grads[tids], cutinfo.normals[C])
+        gn = np.einsum("mix,mx->mi", grads, cutinfo.normals[C])
         yield C, tids, w, lam, gn
 
 
-def _ghost_patches(mesh, cutinfo, grads, side):
+def _ghost_patches(mesh, cutinfo, side):
     """The side's ghost facets as five-vertex patches: the 4 vertices of
     the facet's first tet t0, then the apex of its second tet t1.
 
@@ -261,18 +255,18 @@ def _ghost_patches(mesh, cutinfo, grads, side):
     shared = same.any(axis=2)
     slot = np.where(shared, same.argmax(axis=2), 4)  # t1's slots in the patch
     d = np.zeros((tets.shape[0], 5))
-    d[:, :4] = np.einsum("mix,mx->mi", grads[t0], n)
+    d[:, :4] = np.einsum("mix,mx->mi", mesh.element_gradients(t0), n)
     d[np.arange(tets.shape[0])[:, None], slot] -= np.einsum(
-        "mix,mx->mi", grads[t1], n)
+        "mix,mx->mi", mesh.element_gradients(t1), n)
     return np.concatenate([v0, v1[~shared][:, None]], axis=1), d, areas
 
 
-def _add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof, liftvals):
+def _add_ghost(acc, mesh, cutinfo, side, coeffs, vdof, liftvals):
     """Ghost penalty beta h |F| [grad u . n][grad v . n] on the side's ghost
     facets F, one five-vertex patch (_ghost_patches) per facet."""
     if coeffs.beta == 0.0:
         return
-    verts, d, areas = _ghost_patches(mesh, cutinfo, grads, side)
+    verts, d, areas = _ghost_patches(mesh, cutinfo, side)
     iu, ju = np.triu_indices(5)
     upper = (coeffs.beta * mesh.h * areas)[:, None] * d[:, iu] * d[:, ju]
     lift = None if liftvals is None else liftvals[verts]
@@ -308,7 +302,7 @@ def volume_point_blocks(mesh: Mesh, cutinfo: CutInfo, side: int):
             idx = off[C, None] + np.arange(q)
             pts = vpts[idx]
             lam = (pts - mesh.vertices[mesh.tets[elems, :1]]) @ \
-                mesh.gradients[elems].transpose(0, 2, 1)
+                mesh.element_gradients(elems).transpose(0, 2, 1)
             lam[:, :, 0] += 1.0
             yield elems, pts, vw[idx], lam
 
@@ -332,19 +326,17 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
     if layout.problem != INTERFACE:
         raise ValueError("layout does not describe the interface problem")
     _check_cut_rules(mesh, cutinfo)
-    grads = mesh.gradients
-    diam = element_diameters(mesh.vertices[mesh.tets[cutinfo.cut_tets]])
     liftvals = dirichlet_values(mesh, g)
     acc = _SystemAccumulator(layout.dim)
 
     meas1, meas2 = _side_measures(mesh, cutinfo)
-    _add_volume(acc, mesh, grads, meas1, coeffs.alpha1, layout.v1_dof,
+    _add_volume(acc, mesh, meas1, coeffs.alpha1, layout.v1_dof,
                 liftvals[:, 0])
-    _add_volume(acc, mesh, grads, meas2, coeffs.alpha2, layout.v2_dof,
+    _add_volume(acc, mesh, meas2, coeffs.alpha2, layout.v2_dof,
                 liftvals[:, 1])
 
-    pen = coeffs.alpha_bar * coeffs.gamma
-    for C, tids, w, lam, gn in _surface_batches(mesh, cutinfo, grads):
+    pen = coeffs.alpha_bar * coeffs.gamma / mesh.diameter
+    for C, tids, w, lam, gn in _surface_batches(mesh, cutinfo):
         jump = np.concatenate([lam, -lam], axis=2)
         k1 = cutinfo.kappa1[C][:, None]
         flux = np.concatenate([-coeffs.alpha1 * k1 * gn,
@@ -352,8 +344,7 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
         mom = np.einsum("mp,mpi->mi", w, jump)
         consistency = flux[:, :, None] * mom[:, None, :]
         local = consistency + consistency.transpose(0, 2, 1)
-        local += (pen / diam[C])[:, None, None] * np.einsum(
-            "mp,mpi,mpj->mij", w, jump, jump)
+        local += pen * np.einsum("mp,mpi,mpj->mij", w, jump, jump)
         verts = mesh.tets[tids]
         dofs = np.concatenate([layout.v1_dof[verts], layout.v2_dof[verts]],
                               axis=1)
@@ -361,10 +352,8 @@ def assemble_interface(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
                               axis=1)
         acc.add_local(_upper(local), dofs, lift)
 
-    _add_ghost(acc, mesh, cutinfo, grads, 1, coeffs, layout.v1_dof,
-               liftvals[:, 0])
-    _add_ghost(acc, mesh, cutinfo, grads, 2, coeffs, layout.v2_dof,
-               liftvals[:, 1])
+    _add_ghost(acc, mesh, cutinfo, 1, coeffs, layout.v1_dof, liftvals[:, 0])
+    _add_ghost(acc, mesh, cutinfo, 2, coeffs, layout.v2_dof, liftvals[:, 1])
     A = acc.matrix()
 
     if f is not None:
@@ -383,14 +372,13 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
     if layout.problem != FICTITIOUS:
         raise ValueError("layout does not describe the fictitious domain")
     _check_cut_rules(mesh, cutinfo)
-    grads = mesh.gradients
     acc = _SystemAccumulator(layout.dim)
 
     meas1, _ = _side_measures(mesh, cutinfo)
-    _add_volume(acc, mesh, grads, meas1, 1.0, layout.v1_dof, None)
+    _add_volume(acc, mesh, meas1, 1.0, layout.v1_dof, None)
 
     penfac = coeffs.gamma / mesh.h
-    for C, tids, w, lam, gn in _surface_batches(mesh, cutinfo, grads):
+    for C, tids, w, lam, gn in _surface_batches(mesh, cutinfo):
         mom = np.einsum("mp,mpi->mi", w, lam)
         consistency = -mom[:, :, None] * gn[:, None, :]
         local = consistency + consistency.transpose(0, 2, 1)
@@ -409,8 +397,7 @@ def assemble_fd(mesh: Mesh, cutinfo: CutInfo, layout: DofLayout,
         bloc += penfac * np.einsum("mp,mp,mpi->mi", w, gv, lam)
         acc.add_load(bloc, dofs)
 
-    _add_ghost(acc, mesh, cutinfo, grads, 1, coeffs, layout.v1_dof,
-               None)
+    _add_ghost(acc, mesh, cutinfo, 1, coeffs, layout.v1_dof, None)
     A = acc.matrix()
 
     if f is not None:

@@ -229,14 +229,13 @@ def _accumulate(mesh, cutinfo, vals, sol, side, acc):
     in one dot product, so the blocking of the quadrature changes no
     number.
     """
-    grads = mesh.gradients
     ws, err_u, err_g = [], [], []
     for elems, pts, w, lam in volume_point_blocks(mesh, cutinfo, side):
         m, q = w.shape
         nodal = vals[mesh.tets[elems]]
         ue, ge = sol.u_and_grad(pts.reshape(-1, 3), side)
         uh = lam @ nodal[:, :, None]
-        gh = nodal[:, None, :] @ grads[elems]
+        gh = nodal[:, None, :] @ mesh.element_gradients(elems)
         diff = ge.reshape(m, q, 3) - gh
         ws.append(w.ravel())
         err_u.append((ue - uh.ravel()) ** 2)

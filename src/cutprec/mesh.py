@@ -31,9 +31,12 @@ class Mesh:
     Vertices carry integer lattice indices (lattice, lattice_n): the physical
     coordinate is box_lo + extent * lattice / lattice_n.  Each tet's vertices
     are in cube-path order, which is also ascending (coordinate sum, i, j, k)
-    lattice order.  Every Kuhn tet of an n x n x n grid of the box has the
-    volume of one grid cell over 6, which is what volumes holds per tet.
-    All arrays are read-only after construction.
+    lattice order.  Tet t is Kuhn shape t % 6 of cell t // 6, cells in
+    lexicographic order, so the 6 tets of the first cell give the P1
+    gradients of all (shape_gradients).  Every Kuhn tet of an n x n x n
+    grid of the box has the volume of one grid cell over 6, which is what
+    volumes holds per tet, and the cell's main diagonal as its longest
+    edge (diameter).  All arrays are read-only after construction.
     """
 
     vertices: np.ndarray
@@ -64,12 +67,31 @@ class Mesh:
         extent = self.box[1] - self.box[0]
         return float(np.max(extent) / self.lattice_n)
 
+    @property
+    def diameter(self) -> float:
+        """Longest edge of every tet: the main diagonal of a grid cell."""
+        cell = (self.box[1] - self.box[0]) / self.lattice_n
+        return float(np.sqrt(cell @ cell))
+
     @cached_property
-    def gradients(self) -> np.ndarray:
-        """Constant P1 shape gradients of every element, shape (nt, 4, 3)."""
-        grads = p1_gradients(self.vertices[self.tets])
+    def shape_gradients(self) -> np.ndarray:
+        """Constant P1 shape gradients of the 6 Kuhn shapes, shape
+        (6, 4, 3), taken from the tets of the first cell.  Every tet of a
+        shape is a translate of that cell's one, so on a box whose lattice
+        coordinates are exact binary fractions (the default box, the unit
+        box) its gradients are bitwise these; on others they differ by
+        rounding of the coordinates."""
+        grads = p1_gradients(self.vertices[self.tets[:6]])
         grads.setflags(write=False)
         return grads
+
+    def shape_of(self, elems: np.ndarray) -> np.ndarray:
+        """The Kuhn shape of each element, an index into shape_gradients."""
+        return elems % 6
+
+    def element_gradients(self, elems: np.ndarray) -> np.ndarray:
+        """Constant P1 shape gradients of the elements, shape (m, 4, 3)."""
+        return self.shape_gradients[self.shape_of(elems)]
 
 
 def p1_gradients(verts: np.ndarray) -> np.ndarray:

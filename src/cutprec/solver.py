@@ -425,7 +425,8 @@ def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9,
         bw = B @ w if B is not None else w
         b = float(np.sqrt(max(w @ bw, 0.0)))
         tnorm = max(tnorm, abs(alpha[j]) + b + (beta[j - 1] if j else 0.0))
-        if b > 1e-14:
+        breakdown = 1e-14 * tnorm  # relative, as scaling A scales b
+        if b > breakdown:
             # omega_{j+1,i} for i < j from omega_j and omega_{j-1}
             t = (alpha[:j] - alpha[j]) * omega[:j] + beta[:j] * omega[1:k]
             if j > 0:
@@ -442,7 +443,7 @@ def _lanczos_extremes(A, B, B_solve, budget, seed, rtol=1e-9,
                 bw = B @ w if B is not None else w
                 b = float(np.sqrt(max(w @ bw, 0.0)))
                 omega[:k] = eps
-        if b <= 1e-14:  # invariant subspace exhausted: exact extremes
+        if b <= breakdown:  # invariant subspace exhausted: exact extremes
             converged = True
             break
         if j >= 2 and (largest_only or settled(k, False)) \

@@ -388,8 +388,7 @@ def test_volume_point_blocks(fixture, side, request):
     assert np.array_equal(np.sort(elems), ext)  # each element once
 
 
-def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,
-                    liftvals):
+def table_add_ghost(acc, mesh, cutinfo, side, coeffs, vdof, liftvals):
     """The ghost penalty on the full facet table, with its oriented normals
     and its areas, as the full 8 x 8 blocks of both tets of each facet (the
     3 shared vertices twice), added to the full-block oracle accumulator."""
@@ -399,8 +398,9 @@ def table_add_ghost(acc, mesh, cutinfo, grads, side, coeffs, vdof,
     fids = reference_ghost_facets(table, cutinfo.tet_class, side)
     t0, t1 = table.tets[fids, 0], table.tets[fids, 1]
     n = table.normals[fids]
-    d = np.concatenate([np.einsum("mix,mx->mi", grads[t0], n),
-                        -np.einsum("mix,mx->mi", grads[t1], n)], axis=1)
+    g0, g1 = (p1_gradients(mesh.vertices[mesh.tets[t]]) for t in (t0, t1))
+    d = np.concatenate([np.einsum("mix,mx->mi", g0, n),
+                        -np.einsum("mix,mx->mi", g1, n)], axis=1)
     scale = coeffs.beta * mesh.h * table.areas[fids]
     local = scale[:, None, None] * d[:, :, None] * d[:, None, :]
     verts = np.concatenate([mesh.tets[t0], mesh.tets[t1]], axis=1)
@@ -453,7 +453,7 @@ def test_ahat_stores_no_rounding_residue(paper_systems, problem, level):
 @pytest.mark.parametrize("side", [1, 2])
 def test_ghost_patches_annihilate_linear_functions(side):
     mesh, ci, _ = make_problem(2, center=ExperimentConfig().x0)
-    verts, d, areas = assembly._ghost_patches(mesh, ci, mesh.gradients, side)
+    verts, d, areas = assembly._ghost_patches(mesh, ci, side)
     assert verts.shape[0] > 0 and np.all(areas > 0)
     # five distinct vertices: the facet's 3 and one apex of each tet
     assert np.all(np.diff(np.sort(verts, axis=1), axis=1) > 0)

@@ -1,10 +1,10 @@
 """Memory of the mesh build, the ghost lookup, assembly, error norms and
-exact solves: no facet table on any mesh, ghost facets keyed only near the
-cut strip, int32 triplets built into the matrix before the loads, one
-volume quadrature per side in blocks of elements for the loads and the
-error norms, the band of the banded Cholesky mapped outside the malloc
-heap, and no memory left behind by the SGS sweeps or by repeated study
-passes in one interpreter.
+exact solves: no facet table on any mesh and no gradients per tet, ghost
+facets keyed only near the cut strip, int32 triplets built into the
+matrix before the loads, one volume quadrature per side in blocks of
+elements for the loads and the error norms, the band of the banded
+Cholesky mapped outside the malloc heap, and no memory left behind by the
+SGS sweeps or by repeated study passes in one interpreter.
 
 None of the blocking may change a number, so a block of 5 elements is
 compared bit for bit with one block holding every element.  The int32
@@ -37,7 +37,7 @@ from cutprec.experiments import ExperimentConfig, build_system, \
     error_norms, interface_solution
 from cutprec.geometry import TET_RULE_LAM, TET_RULE_W, SphereLevelSet, \
     build_cut_info, ghost_facets
-from cutprec.mesh import MeshHierarchy
+from cutprec.mesh import MeshHierarchy, p1_gradients
 from cutprec.solver import DirectSolve, SymmetricGaussSeidel
 from cutprec.space import FICTITIOUS, INTERFACE, build_dof_layout
 
@@ -208,17 +208,23 @@ def assert_same_csr(A, B):
         assert np.array_equal(a, b), part
 
 
+def all_gradients(mesh):
+    """The P1 gradients of every tet, computed tet by tet."""
+    return p1_gradients(mesh.vertices[mesh.tets])
+
+
 def oracle_add_loads(acc, mesh, cutinfo, side, f, vdof):
     full = cutinfo.minus1 if side == 1 else cutinfo.minus2
     oracle_add_full_loads(acc, mesh, full, f, vdof)
-    oracle_add_cut_loads(acc, mesh, cutinfo, mesh.gradients, side, f, vdof)
+    oracle_add_cut_loads(acc, mesh, cutinfo, all_gradients(mesh), side, f,
+                         vdof)
 
 
 def oracle_accumulate(mesh, cutinfo, vals, sol, side, acc):
     full = cutinfo.minus1 if side == 1 else cutinfo.minus2
-    oracle_accumulate_full(mesh, mesh.gradients, full, vals, sol, side, acc)
-    oracle_accumulate_cut(mesh, mesh.gradients, cutinfo, vals, sol, side,
-                          acc)
+    grads = all_gradients(mesh)
+    oracle_accumulate_full(mesh, grads, full, vals, sol, side, acc)
+    oracle_accumulate_cut(mesh, grads, cutinfo, vals, sol, side, acc)
 
 
 def assemble_and_norms(mesh, config):
@@ -293,7 +299,6 @@ def interface2():
     mesh = MeshHierarchy.build(2).finest
     cutinfo = build_cut_info(mesh, SphereLevelSet(center=config.x0))
     layout = build_dof_layout(mesh, cutinfo, INTERFACE)
-    mesh.gradients  # cached per mesh, not part of either peak
     sol = interface_solution(config.x0, config.alpha1, config.alpha2)
     return config, mesh, cutinfo, layout, sol
 
@@ -310,14 +315,31 @@ def traced_peak(fn, *args):
     return (peak - start) / MB
 
 
+def test_level3_assembly_keeps_no_gradients():
+    # a cache of the P1 gradients of every tet held 18.9 MB at level 3;
+    # the tables of the 6 Kuhn shapes hold 576 bytes
+    config = ExperimentConfig()
+    mesh = MeshHierarchy.build(3).finest
+    cutinfo = build_cut_info(mesh, SphereLevelSet(center=config.x0))
+    layout = build_dof_layout(mesh, cutinfo, INTERFACE)
+    sol = interface_solution(config.x0, config.alpha1, config.alpha2)
+
+    def assemble():
+        assemble_interface(mesh, cutinfo, layout, config.coefficients(),
+                           sol.f, sol.u)
+
+    assert traced_growth(assemble, 1) < 16 * KiB
+
+
 def test_level2_assembly_peak(interface2):
     # full-size int64 triplets alive through matrix(): 79 MB; int32
     # triplets of the full blocks: 34.7 MB; of their upper triangles,
-    # with five-vertex ghost patches: 15.5 MB
+    # with five-vertex ghost patches: 15.5 MB, with the gradients of
+    # every tet cached beforehand and by the 6 Kuhn shapes alike
     config, mesh, cutinfo, layout, sol = interface2
     peak = traced_peak(assemble_interface, mesh, cutinfo, layout,
                        config.coefficients(), sol.f, sol.u)
-    assert peak < 17.0
+    assert peak < 15.6
 
 
 def test_level2_loads_peak(interface2):

@@ -163,18 +163,61 @@ def test_orientation_convention():
         assert np.array_equal(mesh.volumes, np.abs(signed)), mesh.lattice_n
 
 
-def test_gradients_cached_read_only_and_exact():
-    mesh = build_initial_mesh(2, BOX)
-    grads = mesh.gradients
-    assert mesh.gradients is grads
-    assert not grads.flags.writeable
-    assert np.array_equal(grads, p1_gradients(mesh.vertices[mesh.tets]))
+# boxes whose lattice coordinates are exact binary fractions, and one whose
+# are not
+UNIT_BOX = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+INEXACT_BOX = ((-0.3, 0.1, -1.1), (0.9, 1.3, 0.7))
+
+
+def shape_meshes():
+    """Levels 0-3 of the hierarchy and the n = 1, 2 meshes of the default
+    and the unit box: every lattice coordinate an exact binary fraction."""
+    return MeshHierarchy.build(3).levels + [
+        build_initial_mesh(n, box) for n in (1, 2) for box in (BOX, UNIT_BOX)]
+
+
+def longest_edges(mesh):
+    """The longest edge of every tet, by its 6 edge lengths."""
+    verts = mesh.vertices[mesh.tets]
+    return np.stack([np.linalg.norm(verts[:, a] - verts[:, b], axis=1)
+                     for a, b in _TET_EDGES], axis=1).max(axis=1)
+
+
+def test_shape_gradients_reproduce_every_tet():
+    for mesh in shape_meshes():
+        table = mesh.shape_gradients
+        assert mesh.shape_gradients is table and table.shape == (6, 4, 3)
+        assert not table.flags.writeable
+        got = mesh.element_gradients(np.arange(mesh.n_tets))
+        want = p1_gradients(mesh.vertices[mesh.tets])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (mesh.level, mesh.lattice_n)
     # grad(lambda_i) . (x_j - x_0) = delta_ij - delta_i0 on every tet
     verts = mesh.vertices[mesh.tets]
     edges = verts - verts[:, :1]
     want = np.eye(4)[None] - np.eye(4)[:, :1][None]
-    assert np.allclose(np.einsum("tix,tjx->tij", grads, edges), want,
+    assert np.allclose(np.einsum("tix,tjx->tij", got, edges), want,
                        rtol=0, atol=1e-12)
+
+
+def test_shape_gradients_on_inexact_box():
+    # the translates differ from the first cell by coordinate rounding
+    # only: at most 3.6e-16 relative here
+    for n in (1, 2, 3):
+        mesh = build_initial_mesh(n, INEXACT_BOX)
+        got = mesh.element_gradients(np.arange(mesh.n_tets))
+        want = p1_gradients(mesh.vertices[mesh.tets])
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+def test_diameter_is_every_longest_edge():
+    for mesh in shape_meshes():
+        assert np.all(longest_edges(mesh) == mesh.diameter), mesh.lattice_n
+    for n in (1, 2, 3):  # at most 2.2e-16 relative
+        mesh = build_initial_mesh(n, INEXACT_BOX)
+        assert np.allclose(longest_edges(mesh), mesh.diameter, rtol=1e-15,
+                           atol=0)
 
 
 def inverse_gradients(verts):

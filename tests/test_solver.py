@@ -903,6 +903,19 @@ def test_estimate_condition_identity_and_validation():
             estimate_condition(sp.eye(4, format="csr"), budget=budget)
 
 
+def test_condition_estimate_is_scale_invariant(systems):
+    # an absolute breakdown test stopped 1e-16 Ahat at level 1 after one
+    # step with kappa 1.0; the true kappa is 536.6 at every scale
+    A = systems(INTERFACE, tuple(X0)).Ahat
+    ref = estimate_condition(A)
+    assert ref.converged and ref.kappa == pytest.approx(536.6, rel=1e-4)
+    for c in (1e-20, 1e20):
+        est = estimate_condition(c * A)
+        assert (est.iterations, est.converged) == \
+            (ref.iterations, ref.converged), c
+        assert est.kappa == pytest.approx(ref.kappa, rel=1e-12, abs=0), c
+
+
 def test_lanczos_exhausted_budget_is_flagged_lower_bound():
     # 1D Laplacian spectrum cannot settle in five steps; the truncated
     # recurrence must still yield a usable interior estimate
