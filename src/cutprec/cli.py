@@ -16,33 +16,43 @@ from .experiments import (ExperimentConfig, _located, build_system,
 from .solver import PRECONDITIONER_KINDS
 from .space import FICTITIOUS, INTERFACE
 
-# study subcommand -> (problem, delta sweep, table name, help)
+# study subcommand -> (problem, delta sweep, table name, help, config fields
+# it never reads, so has no flag for: the delta sweep centres its sphere at
+# (d, 2d, 3d), and the fictitious-domain form has no alphas)
 _STUDIES = {
     "interface-study": (INTERFACE, False, "interface_study",
-                        "level sweep of the two-phase interface problem"),
+                        "level sweep of the two-phase interface problem",
+                        {"deltas", "delta_level"}),
     "delta-sweep": (INTERFACE, True, "delta_sweep",
-                    "interface-position robustness at a fixed level"),
+                    "interface-position robustness at a fixed level",
+                    {"max_level", "x0"}),
     "fd-study": (FICTITIOUS, False, "fd_study",
-                 "level sweep of the fictitious-domain problem"),
+                 "level sweep of the fictitious-domain problem",
+                 {"deltas", "delta_level", "alpha1", "alpha2"}),
 }
 
 
-def _add_config_options(p: argparse.ArgumentParser) -> None:
+def _add_config_options(p: argparse.ArgumentParser, unread) -> None:
+    """A --config flag, and one flag per config field not in unread."""
+    def add(flag, **kwargs):
+        if flag[2:].replace("-", "_") not in unread:
+            p.add_argument(flag, **kwargs)
+
     p.add_argument("--config", metavar="FILE",
                    help="JSON file with study settings")
-    p.add_argument("--max-level", type=int, dest="max_level")
-    p.add_argument("--x0", type=float, nargs=3, metavar=("X", "Y", "Z"))
-    p.add_argument("--deltas", type=float, nargs="+", metavar="D")
-    p.add_argument("--delta-level", type=int, dest="delta_level")
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--preconditioners", nargs="+",
-                   choices=PRECONDITIONER_KINDS, metavar="KIND")
-    p.add_argument("--output-dir", dest="output_dir")
+    add("--max-level", type=int)
+    add("--x0", type=float, nargs=3, metavar=("X", "Y", "Z"))
+    add("--deltas", type=float, nargs="+", metavar="D")
+    add("--delta-level", type=int)
+    add("--alpha1", type=float)
+    add("--alpha2", type=float)
+    add("--gamma", type=float)
+    add("--beta", type=float)
+    add("--tol", type=float)
+    add("--max-iter", type=int)
+    add("--preconditioners", nargs="+", choices=PRECONDITIONER_KINDS,
+        metavar="KIND")
+    add("--output-dir")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -58,7 +68,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_study(args) -> int:
-    problem, deltas, name, _ = _STUDIES[args.command]
+    problem, deltas, name, _, _ = _STUDIES[args.command]
     config = replace(_config_from_args(args), problem=problem)
     paths = write_tables(run_study(config, deltas=deltas),
                          config.output_dir, name)
@@ -96,14 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "studies with block-preconditioned CG.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, (_, _, _, help_text) in _STUDIES.items():
+    for command, (_, _, _, help_text, unread) in _STUDIES.items():
         p = sub.add_parser(command, help=help_text)
-        _add_config_options(p)
+        _add_config_options(p, unread)
         p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("cond",
                        help="condition numbers of the assembled operator")
-    _add_config_options(p)
+    # cond runs no PCG and reads one level
+    _add_config_options(p, {"tol", "max_iter", "preconditioners", "deltas",
+                            "delta_level"})
     p.add_argument("--level", type=int, help="refinement level "
                    "(default: configured max level)")
     p.set_defaults(func=_cmd_cond)

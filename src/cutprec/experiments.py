@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .assembly import (ProblemCoefficients, TransformedSystem, assemble_fd,
                        assemble_interface, dirichlet_values, transform,
                        volume_point_blocks)
-from .geometry import SphereLevelSet, build_cut_info, classify
+from .geometry import SphereLevelSet, build_cut_info
 from .mesh import MeshHierarchy
 from .solver import (PRECONDITIONER_KINDS, DirectSolve, estimate_condition,
                      make_preconditioner, pcg, splitting_estimate)
@@ -311,18 +311,6 @@ def _assemble(mesh, x0, config: ExperimentConfig, load: bool = True):
                                    layout)
 
 
-def multigrid_active_sets(hierarchy, x0, problem) -> list:
-    """The vertex sets of the multigrid block, one per level: the interior
-    box vertices for the interface problem, the vertices inside the
-    sphere around x0 for the fictitious domain."""
-    if problem == INTERFACE:
-        return [np.flatnonzero(~m.boundary_vertex_flags)
-                for m in hierarchy.levels]
-    levelset = SphereLevelSet(center=x0)
-    return [np.flatnonzero(classify(m, levelset)[1] < 0.0)
-            for m in hierarchy.levels]
-
-
 @contextmanager
 def _located(what, level, delta):
     """Re-raise a failure of one study row naming its level and delta."""
@@ -343,11 +331,6 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
     with _located("assembly", level, delta):
         cutinfo, sol, tsys = _assemble(mesh, x0, config)
     layout = tsys.layout
-    active = multigrid_active_sets(hierarchy, x0, config.problem)
-    if config.problem == FICTITIOUS and not np.array_equal(
-            active[-1], layout.x0_vertices):
-        raise RuntimeError("multigrid vertex set disagrees with the "
-                           "interior block layout")
 
     iterations = {}
     first_solution = None
@@ -355,7 +338,7 @@ def _solve_point(hierarchy, x0, config: ExperimentConfig,
     for kind in config.preconditioners:
         with _located(f"{kind} set-up", level, delta):
             P = make_preconditioner(kind, tsys, hierarchy=hierarchy,
-                                    active_sets=active, blocks=blocks)
+                                    blocks=blocks)
         with _located(f"{kind} solve", level, delta):
             xhat, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=config.tol,
                             max_iter=config.max_iter)

@@ -182,17 +182,18 @@ def pcg(A: sp.spmatrix, b: np.ndarray, precond, tol: float = 1e-6,
                        f"(last relative residual {history[-1]:.3e})")
 
 
-def build_prolongations(hierarchy: MeshHierarchy, active_sets) -> list:
+def build_prolongations(hierarchy: MeshHierarchy, active) -> list:
     """Nested P1 interpolation operators restricted to active vertex sets.
 
-    active_sets[k] lists the active (sorted) vertex ids of level k; the dof
-    ordering of each level is the listed order.  Each operator is the full
-    interpolation sliced to the active rows and columns: coarse vertices
-    keep their value, edge midpoints take one half of each active parent,
-    and inactive parents drop out (their value is zero by elimination).
+    active lists the sorted active vertex ids of the finest level.  Each
+    level keeps the coarser levels' vertices under their ids, so level k's
+    set is the ids in active below its vertex count; each set orders its
+    level's dofs.  Each operator is the full interpolation sliced to the
+    active rows and columns: coarse vertices keep their value, edge
+    midpoints take one half of each active parent, and inactive parents
+    drop out (their value is zero by elimination).
     """
-    if len(active_sets) != len(hierarchy.levels):
-        raise ValueError("one active set per level required")
+    active = np.asarray(active)
     prols = []
     for k, parents in enumerate(hierarchy.midpoint_parents):
         nc, nm = hierarchy.levels[k].n_vertices, parents.shape[0]
@@ -201,7 +202,7 @@ def build_prolongations(hierarchy: MeshHierarchy, active_sets) -> list:
              np.r_[np.arange(nc), parents.ravel()],
              np.r_[np.arange(nc), nc + 2 * np.arange(nm + 1)]),
             shape=(nc + nm, nc))
-        prols.append(full[active_sets[k + 1]][:, active_sets[k]])
+        prols.append(full[active[active < nc + nm]][:, active[active < nc]])
     return prols
 
 
@@ -263,7 +264,7 @@ class BlockPreconditioner:
 
 
 def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
-                        active_sets=None, blocks: dict = None):
+                        blocks: dict = None):
     """Construct one of the study preconditioners for a transformed system.
 
     A block preconditioner pairs two of four block solvers: exact A0 and
@@ -274,21 +275,24 @@ def make_preconditioner(kind: str, tsys, hierarchy: MeshHierarchy = None,
     The strip block takes two SGS sweeps for the interface problem and
     three for the fictitious domain; a single sweep leaves the strip solve
     too loose for the hardest cut positions and costs an extra outer
-    iteration there.  The multigrid block runs three V-cycles.
+    iteration there.  The multigrid block runs three V-cycles on
+    tsys.layout.x0_vertices over hierarchy, whose finest mesh is the system's.
     """
     if kind not in PRECONDITIONER_KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind == KIND_SGS:
         return SymmetricGaussSeidel(tsys.Ahat)
-    if kind == KIND_BLOCK_MG_SGS and None in (hierarchy, active_sets):
-        raise ValueError("multigrid preconditioner needs the mesh hierarchy "
-                         "and active dof sets")
+    if kind == KIND_BLOCK_MG_SGS and (
+            hierarchy is None
+            or hierarchy.finest.n_vertices != tsys.layout.x0_dof.size):
+        raise ValueError("multigrid needs the hierarchy of the system's mesh")
     sweeps = 3 if tsys.layout.problem == FICTITIOUS else 2
     build = {"A0 exact": lambda: DirectSolve(tsys.A0),
              "A1 exact": lambda: DirectSolve(tsys.A1),
              "A1 SGS": lambda: SymmetricGaussSeidel(tsys.A1, sweeps=sweeps),
              "A0 MG": lambda: GeometricMultigrid(
-                 tsys.A0, build_prolongations(hierarchy, active_sets))}
+                 tsys.A0, build_prolongations(hierarchy,
+                                              tsys.layout.x0_vertices))}
     pair = {KIND_BLOCK_EXACT: ("A0 exact", "A1 exact"),
             KIND_BLOCK_DIAG_SGS: ("A0 exact", "A1 SGS"),
             KIND_BLOCK_MG_SGS: ("A0 MG", "A1 SGS")}[kind]

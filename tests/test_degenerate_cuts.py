@@ -25,7 +25,7 @@ import pytest
 
 from cutprec import experiments
 from cutprec.experiments import (ExperimentConfig, build_system,
-                                 multigrid_active_sets, spectral_pencils)
+                                 spectral_pencils)
 from cutprec.mesh import MeshHierarchy
 from cutprec.solver import KIND_BLOCK_MG_SGS, make_preconditioner, pcg
 from cutprec.space import FICTITIOUS, INTERFACE
@@ -90,9 +90,7 @@ def sampled_position(hierarchy, problem, x0):
     config = ExperimentConfig(problem=problem, x0=tuple(x0))
     tsys = experiments._assemble(hierarchy.finest, config.x0, config)[2]
     est = spectral_pencils(tsys)["kappa(DA^-1 Ahat)"]()
-    P = make_preconditioner(
-        KIND_BLOCK_MG_SGS, tsys, hierarchy=hierarchy,
-        active_sets=multigrid_active_sets(hierarchy, config.x0, problem))
+    P = make_preconditioner(KIND_BLOCK_MG_SGS, tsys, hierarchy=hierarchy)
     _, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=config.tol,
                  max_iter=config.max_iter)
     return est, rep.iterations

@@ -6,17 +6,20 @@ bundles; the study drivers run at levels 0-2 where everything is cheap.
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import re
+import sys
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
 from cutprec import assembly, experiments, solver
-from cutprec.cli import _add_config_options, main
+from cutprec.cli import build_parser, main
 from cutprec.experiments import (ExperimentConfig, ManufacturedSolution,
                                  StudyResult, LevelResult, ErrorNorms,
                                  build_system, error_norms,
@@ -219,15 +222,58 @@ def test_config_rejects_removed_base_order(tmp_path, key):
 
 
 def test_cli_flags_match_config_fields():
-    # one flag per config field (the problem is fixed by the subcommand or
-    # the config file) and no flag without a field
-    parser = argparse.ArgumentParser()
-    _add_config_options(parser)
-    dests = [a.dest for a in parser._actions
-             if a.dest not in ("help", "config")]
+    # each subcommand has at most one flag per config field (the problem
+    # is fixed by the subcommand or the config file), no flag without a
+    # field but cond's --level, and every field has a flag on some
+    # subcommand
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
     fields = set(ExperimentConfig.__dataclass_fields__) - {"problem"}
-    assert len(dests) == len(set(dests))
-    assert set(dests) == fields
+    seen = set()
+    for command, parser in sub.choices.items():
+        dests = [a.dest for a in parser._actions
+                 if a.dest not in ("help", "config", "level")]
+        assert len(dests) == len(set(dests)), command
+        assert set(dests) <= fields, command
+        seen.update(dests)
+    assert seen == fields
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("cond", ["--tol", "1e-6"]), ("cond", ["--max-iter", "10"]),
+    ("cond", ["--preconditioners", "SGS"]), ("cond", ["--deltas", "0.0"]),
+    ("cond", ["--delta-level", "0"]),
+    ("interface-study", ["--deltas", "0.0"]),
+    ("interface-study", ["--delta-level", "0"]),
+    ("fd-study", ["--deltas", "0.0"]), ("fd-study", ["--delta-level", "0"]),
+    ("fd-study", ["--alpha1", "2.0"]), ("fd-study", ["--alpha2", "2.0"]),
+    ("delta-sweep", ["--max-level", "0"]),
+    ("delta-sweep", ["--x0", "0", "0", "0"])])
+def test_cli_refuses_flags_the_command_does_not_read(command, flag, capsys):
+    # a flag that would change nothing is a usage error, not a silent no-op
+    with pytest.raises(SystemExit) as exit_:
+        main([command] + flag)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every command line the benchmark runs, timed passes and warm-up
+    path = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclass
+    spec.loader.exec_module(module)
+    assert module.WORKLOADS
+    for name, workload in module.WORKLOADS.items():
+        for argv in (workload.argv(0, tmp_path), workload.argv(1, tmp_path),
+                     workload.warmup_argv(tmp_path)):
+            args = build_parser().parse_args(argv)
+            assert args.command == workload.command, (name, argv)
+            assert args.output_dir == str(tmp_path), (name, argv)
 
 
 @pytest.fixture
@@ -512,9 +558,9 @@ def test_cli_rejects_bad_parameters(capsys):
      "deltas must be finite"),
     (["interface-study", "--preconditioners", "SGS", "SGS"], None,
      "preconditioners must not repeat"),
-    (["delta-sweep", "--delta-level", "0", "--deltas", "0.0", "0.0"], None,
+    (["delta-sweep", "--deltas", "0.0", "0.0"], None,
      "deltas must not repeat"),
-    (["delta-sweep", "--delta-level", "0"], {"deltas": [0.05, 0.0, 0.05]},
+    (["delta-sweep"], {"deltas": [0.05, 0.0, 0.05]},
      "deltas must not repeat")])
 def test_cli_rejects_unusable_config_values(tmp_path, capsys, argv, content,
                                             named):
@@ -524,8 +570,8 @@ def test_cli_rejects_unusable_config_values(tmp_path, capsys, argv, content,
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(content))
         argv = argv + ["--config", str(path)]
-    assert main(argv + ["--max-level", "0", "--output-dir",
-                        str(tmp_path)]) == 1
+    level = "--delta-level" if argv[0] == "delta-sweep" else "--max-level"
+    assert main(argv + [level, "0", "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not list(tmp_path.glob("*.csv"))

@@ -19,8 +19,8 @@ from cutprec.assembly import ProblemCoefficients, assemble_interface, \
     transform
 from cutprec import experiments
 from cutprec.experiments import (ExperimentConfig, build_system,
-                                 multigrid_active_sets, spectral_pencils)
-from cutprec.geometry import SphereLevelSet, build_cut_info
+                                 spectral_pencils)
+from cutprec.geometry import SphereLevelSet, build_cut_info, classify
 from cutprec.mesh import MeshHierarchy
 from cutprec.space import FICTITIOUS, INTERFACE, build_L, build_dof_layout
 from cutprec.solver import (PRECONDITIONER_KINDS, DirectSolve,
@@ -283,13 +283,11 @@ def test_pcg_matches_triangular_solve_oracle_bitwise(hierarchy2,
                                                      monkeypatch):
     tsys = interface_systems[1]
     sub = hierarchy2.truncated(1)
-    active = [np.flatnonzero(~m.boundary_vertex_flags) for m in sub.levels]
 
     def solve_all():
         out = {}
         for kind in PRECONDITIONER_KINDS:
-            P = make_preconditioner(kind, tsys, hierarchy=sub,
-                                    active_sets=active)
+            P = make_preconditioner(kind, tsys, hierarchy=sub)
             out[kind] = pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6)
         return out
 
@@ -370,7 +368,7 @@ def exact_solve_matrices(hierarchy2):
             t = build_system(ExperimentConfig(problem=problem), level=level)
             sub = hierarchy2.truncated(level)
             mg = GeometricMultigrid(t.A0, build_prolongations(
-                sub, multigrid_active_sets(sub, X0, problem)))
+                sub, t.layout.x0_vertices))
             pencils = oracle_pencils(t)
             cache[problem, level] = {
                 "A0": t.A0, "A1": t.A1,
@@ -471,6 +469,19 @@ def test_splitting_estimate_rejects_gamma_at_least_one():
                            DirectSolve(A1))
 
 
+def oracle_active_sets(hierarchy, x0, problem):
+    """The vertex sets of the multigrid block, one per level, each by the
+    problem's own rule: the interior box vertices for the interface
+    problem, the vertices inside the sphere around x0 for the fictitious
+    domain."""
+    if problem == INTERFACE:
+        return [np.flatnonzero(~m.boundary_vertex_flags)
+                for m in hierarchy.levels]
+    levelset = SphereLevelSet(center=x0)
+    return [np.flatnonzero(classify(m, levelset)[1] < 0.0)
+            for m in hierarchy.levels]
+
+
 def oracle_prolongations(hierarchy, active_sets):
     """Nested P1 interpolation assembled from vertex index maps, one entry
     group at a time: copied vertices with weight one, then each midpoint
@@ -514,19 +525,31 @@ def assert_same_csr(got, want, what):
 
 @pytest.mark.parametrize("problem", [INTERFACE, FICTITIOUS])
 def test_prolongations_match_index_map_oracle(problem):
+    """The prolongations derived from the layout's finest x0 vertex set
+    equal the oracle's on the per-level sets of the problem's rule, at the
+    paper centre and at the six delta-sweep centres, and the rule's finest
+    set is the layout's."""
     hierarchy = MeshHierarchy.build(3)
-    active = multigrid_active_sets(hierarchy, X0, problem)
-    got = build_prolongations(hierarchy, active)
-    want = oracle_prolongations(hierarchy, active)
-    assert len(got) == len(want) == 3
-    for k, (P, Q) in enumerate(zip(got, want)):
-        assert_same_csr(P, Q, (problem, k))
+    config = ExperimentConfig(problem=problem)
+    centres = [X0] + [np.array([d, 2.0 * d, 3.0 * d]) for d in config.deltas]
+    for x0 in centres:
+        cutinfo = build_cut_info(hierarchy.finest, SphereLevelSet(center=x0))
+        layout = build_dof_layout(hierarchy.finest, cutinfo, problem)
+        active = oracle_active_sets(hierarchy, x0, problem)
+        assert np.array_equal(active[-1], layout.x0_vertices), tuple(x0)
+        got = build_prolongations(hierarchy, layout.x0_vertices)
+        want = oracle_prolongations(hierarchy, active)
+        assert len(got) == len(want) == 3
+        for k, (P, Q) in enumerate(zip(got, want)):
+            assert_same_csr(P, Q, (problem, tuple(x0), k))
     # the Galerkin operators of the level-2 standard block agree as well
     sub = hierarchy.truncated(2)
-    A0 = build_system(ExperimentConfig(problem=problem), level=2).A0
-    assert A0.shape[0] == active[2].size
-    got = GeometricMultigrid(A0, build_prolongations(sub, active[:3]))
-    want = GeometricMultigrid(A0, oracle_prolongations(sub, active[:3]))
+    t = build_system(config, level=2)
+    active = oracle_active_sets(sub, X0, problem)
+    assert np.array_equal(active[2], t.layout.x0_vertices)
+    got = GeometricMultigrid(t.A0, build_prolongations(sub,
+                                                       t.layout.x0_vertices))
+    want = GeometricMultigrid(t.A0, oracle_prolongations(sub, active))
     assert len(got.operators) == 3
     for k, (G, W) in enumerate(zip(got.operators, want.operators)):
         assert_same_csr(G, W, (problem, "operator", k))
@@ -536,18 +559,11 @@ def test_prolongation_reproduces_linear_functions(hierarchy2):
     """Nested P1 interpolation is exact on affine functions when every
     vertex is active."""
     sub = hierarchy2.truncated(1)
-    active = [np.arange(m.n_vertices) for m in sub.levels]
-    P, = build_prolongations(sub, active)
+    P, = build_prolongations(sub, np.arange(sub.finest.n_vertices))
     lin = lambda pts: 1.0 + 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + pts[:, 2]
     coarse_vals = lin(sub.levels[0].vertices)
     fine_vals = lin(sub.levels[1].vertices)
     assert np.allclose(P @ coarse_vals, fine_vals, rtol=0, atol=1e-13)
-
-
-def test_prolongation_requires_matching_sets(hierarchy2):
-    sub = hierarchy2.truncated(1)
-    with pytest.raises(ValueError, match="active set"):
-        build_prolongations(sub, [np.arange(sub.levels[0].n_vertices)])
 
 
 def test_galerkin_coarse_operator_matches_reassembly(hierarchy2,
@@ -556,7 +572,7 @@ def test_galerkin_coarse_operator_matches_reassembly(hierarchy2,
     Laplacian equals the coarse-assembled one exactly."""
     mats, active = uncut_laplacians
     sub = hierarchy2.truncated(1)
-    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[:2]))
+    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[1]))
     coarse = mg.operators[0].toarray()
     ref = mats[0].toarray()
     assert np.max(np.abs(coarse - ref)) <= 1e-10
@@ -565,7 +581,7 @@ def test_galerkin_coarse_operator_matches_reassembly(hierarchy2,
 def test_mg_vcycle_reduces_error(hierarchy2, uncut_laplacians):
     mats, active = uncut_laplacians
     A = mats[2]
-    mg = GeometricMultigrid(A, build_prolongations(hierarchy2, active))
+    mg = GeometricMultigrid(A, build_prolongations(hierarchy2, active[2]))
     rng = np.random.default_rng(13)
     exact = rng.standard_normal(A.shape[0])
     x = mg._vcycle(len(mg.operators) - 1, A @ exact)  # one V-cycle
@@ -586,7 +602,7 @@ def test_mg_without_coarse_levels_is_direct():
 def test_mg_application_is_spd(hierarchy2, uncut_laplacians):
     mats, active = uncut_laplacians
     sub = hierarchy2.truncated(1)
-    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[:2]))
+    mg = GeometricMultigrid(mats[1], build_prolongations(sub, active[1]))
     n = mats[1].shape[0]
     Z = np.column_stack([mg.apply(col) for col in np.eye(n)])
     assert np.max(np.abs(Z - Z.T)) <= 1e-10 * np.max(np.abs(Z))
@@ -617,11 +633,9 @@ def test_shared_block_solvers_match_preconditioners_built_alone(hierarchy2,
     config = ExperimentConfig(problem=problem)
     tsys = experiments._assemble(hierarchy2.levels[1], config.x0, config)[2]
     sub = hierarchy2.truncated(1)
-    active = multigrid_active_sets(sub, X0, problem)
 
     def solve(kind, blocks=None):
-        P = make_preconditioner(kind, tsys, hierarchy=sub,
-                                active_sets=active, blocks=blocks)
+        P = make_preconditioner(kind, tsys, hierarchy=sub, blocks=blocks)
         return pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6)
 
     alone = {kind: solve(kind) for kind in PRECONDITIONER_KINDS}
@@ -636,21 +650,25 @@ def test_shared_block_solvers_match_preconditioners_built_alone(hierarchy2,
         assert sorted(blocks) == ["A0 MG", "A0 exact", "A1 SGS", "A1 exact"]
 
 
-def test_make_preconditioner_validation(interface_systems):
+def test_make_preconditioner_validation(hierarchy2, interface_systems):
     tsys = interface_systems[0]
     with pytest.raises(ValueError, match="unknown preconditioner"):
         make_preconditioner("ILU", tsys)
     with pytest.raises(ValueError, match="hierarchy"):
         make_preconditioner("BlockMGSGS", tsys)
+    # a hierarchy one level too deep: the layout's vertex ids would pass
+    # for a subset of the finer mesh's
+    with pytest.raises(ValueError, match="hierarchy of the system's mesh"):
+        make_preconditioner("BlockMGSGS", interface_systems[1],
+                            hierarchy=hierarchy2)
 
 
 def test_all_preconditioners_are_symmetric(hierarchy2, interface_systems):
     tsys = interface_systems[0]
     sub = hierarchy2.truncated(0)
-    active = [np.flatnonzero(~sub.levels[0].boundary_vertex_flags)]
     n = tsys.Ahat.shape[0]
     for kind in PRECONDITIONER_KINDS:
-        P = make_preconditioner(kind, tsys, hierarchy=sub, active_sets=active)
+        P = make_preconditioner(kind, tsys, hierarchy=sub)
         Z = np.column_stack([P.apply(col) for col in np.eye(n)])
         assert np.max(np.abs(Z - Z.T)) <= 1e-8 * np.max(np.abs(Z)), kind
 
@@ -660,10 +678,9 @@ def test_interface_iteration_counts_level1(hierarchy2, interface_systems):
     (14..28 expected for the exact-block variant, cf. the study tables)."""
     tsys = interface_systems[1]
     sub = hierarchy2.truncated(1)
-    active = [np.flatnonzero(~m.boundary_vertex_flags) for m in sub.levels]
     counts = {}
     for kind in PRECONDITIONER_KINDS:
-        P = make_preconditioner(kind, tsys, hierarchy=sub, active_sets=active)
+        P = make_preconditioner(kind, tsys, hierarchy=sub)
         _, rep = pcg(tsys.Ahat, tsys.bhat, P, tol=1e-6)
         assert rep.converged
         counts[kind] = rep.iterations
